@@ -28,7 +28,7 @@
 //! on every read-heavy (bench, arch, procs) configuration; the write path's
 //! interpreted and compiled modes agree cycle-for-cycle on every
 //! (kernel, arch, procs) configuration — the standing bit-identity witness
-//! for the compiled-plan layer; and on the fairness rows, a fresh
+//! for the small-k kernels; and on the fairness rows, a fresh
 //! `max_losses` must never exceed the committed one (starvation must not
 //! regress), with every escalation row inside its N+M `loss_bound`.
 //!
@@ -364,10 +364,9 @@ fn main() {
         fresh_write.push(p);
     }
 
-    // Structural invariant: compiled plans must replay the interpreted
-    // schedule cycle-for-cycle on every configuration both modes cover —
-    // the bit-identity constraint of the compiled-plan layer, checked
-    // against fresh runs on every PR.
+    // Structural invariant: the small-k kernels behind the compiled mode
+    // must replay the interpreted general sweep's schedule cycle-for-cycle
+    // on every configuration both modes cover, checked against fresh runs.
     for c in fresh_write.iter().filter(|p| p.mode == WriteMode::Compiled) {
         if let Some(i) = fresh_write.iter().find(|p| {
             p.mode == WriteMode::Interpreted
@@ -444,7 +443,7 @@ fn main() {
     // the KV rungs below saturate every core for seconds at a time.
     const OBSERVER_TRIALS: usize = 9;
     let procs = 2;
-    // Warm-up: populate plan caches, fault in pages, spin up the allocator.
+    // Warm-up: warm the scratches, fault in pages, spin up the allocator.
     let _ = run_observer_ladder(ObserverMode::Noop, procs, opts.observer_ops / 10);
     let _ = run_observer_ladder(ObserverMode::Flight, procs, opts.observer_ops / 10);
     let mut ratios = [0.0f64; OBSERVER_TRIALS];
@@ -587,7 +586,7 @@ fn main() {
     }
     eprintln!(
         "[bench-gate] all rows within tolerance; fast path still a win; write-path schedules \
-         bit-identical to the committed baseline; compiled plans bit-identical; starvation \
+         bit-identical to the committed baseline; small-k kernels bit-identical; starvation \
          still bounded; kv service holding a million-plus live cells with exact accounting; \
          flight recorder within the overhead budget"
     );

@@ -7,7 +7,7 @@
 //!   counting-bus counting-mesh queue-bus queue-mesh
 //!   resource-bus resource-mesh prio-bus prio-mesh
 //!   summary ablate-helping ablate-backoff ablate-arch
-//!   read-heavy read-heavy-host write-path write-path-host plan-cache
+//!   read-heavy read-heavy-host write-path write-path-host
 //!   durable durable-host fairness blocking blocking-host kv
 //!
 //! OPTIONS
@@ -38,8 +38,8 @@ use stm_bench::runner::{summarize, Sweep, PAPER_PROCS, QUICK_PROCS};
 use stm_bench::table::{render_table, thousands, write_csv};
 use stm_bench::workloads::{ArchKind, Bench, DataPoint};
 use stm_bench::write_path::{
-    compiled_speedups, k_label, run_cache_point, run_write_host_point, run_write_point,
-    WriteHostPoint, WriteMode, WritePoint, CACHE_SCENARIOS, WRITE_KS, WRITE_PROCS,
+    compiled_speedups, k_label, run_write_host_point, run_write_point, WriteHostPoint, WriteMode,
+    WritePoint, WRITE_KS, WRITE_PROCS,
 };
 use stm_core::stm::BackoffPolicy;
 use stm_structures::Method;
@@ -54,7 +54,7 @@ struct Options {
     quick: bool,
 }
 
-const ALL_EXPERIMENTS: [&str; 23] = [
+const ALL_EXPERIMENTS: [&str; 22] = [
     "counting-bus",
     "counting-mesh",
     "queue-bus",
@@ -71,7 +71,6 @@ const ALL_EXPERIMENTS: [&str; 23] = [
     "read-heavy-host",
     "write-path",
     "write-path-host",
-    "plan-cache",
     "durable",
     "durable-host",
     "fairness",
@@ -156,7 +155,6 @@ fn main() {
             "read-heavy-host" => host_points.extend(run_read_heavy_host(&opts)),
             "write-path" => write_points.extend(run_write_path(&opts)),
             "write-path-host" => write_host_points.extend(run_write_path_host(&opts)),
-            "plan-cache" => run_plan_cache(&opts),
             "durable" => run_durable(&opts),
             "durable-host" => run_durable_host(&opts),
             "fairness" => fairness_points.extend(run_fairness(&opts)),
@@ -458,10 +456,10 @@ fn run_write_path(opts: &Options) -> Vec<WritePoint> {
 }
 
 /// W1 (host half): the wall-clock write-path ladder — the same kernel tiers
-/// on one real uncontended thread, interpreted vs compiled. This is where
-/// the compiled path's speedup is visible (the simulator charges memory
-/// traffic, not allocator traffic); the small-k rows carry the ≥ 1.5×
-/// claim recorded in `EXPERIMENTS.md`. Wall-clock, so informational only:
+/// on one real uncontended thread, interpreted (the allocating general-sweep
+/// reference) vs compiled (the allocation-free `run_planned` hot path). This
+/// is where the hot path's speedup is visible (the simulator charges memory
+/// traffic, not allocator traffic). Wall-clock, so informational only:
 /// recorded in `BENCH_stm.json` but never CI-gated.
 fn run_write_path_host(opts: &Options) -> Vec<WriteHostPoint> {
     // Host ops need to be large enough to outlast thread startup.
@@ -489,36 +487,6 @@ fn run_write_path_host(opts: &Options) -> Vec<WriteHostPoint> {
     std::fs::write(opts.out.join("write-path-host.csv"), csv).expect("write CSV");
     eprintln!("[figures] wrote {}", opts.out.join("write-path-host.csv").display());
     all
-}
-
-/// W2: the plan-cache hit-rate ablation — the k = 2 host write path with
-/// the number of distinct transaction shapes as the only variable:
-/// `resident` fits the bounded cache, `churn` cycles through 1.5× its
-/// capacity (the adversarial pattern for move-to-front LRU — every lookup
-/// misses and recompiles). Wall-clock, informational only.
-fn run_plan_cache(opts: &Options) {
-    let ops = (opts.ops * 16).max(50_000);
-    println!("# W2 — plan-cache hit-rate ablation ({ops} ops/point, wall-clock, informational)");
-    println!(
-        "{:>10} {:>7} {:>10} {:>10} {:>9} {:>14}",
-        "scenario", "shapes", "hits", "misses", "hit-rate", "ops/sec"
-    );
-    let mut csv = String::from("scenario,shapes,total_ops,hits,misses,hit_rate,nanos,ops_per_sec\n");
-    for (scenario, shapes) in CACHE_SCENARIOS {
-        let p = run_cache_point(scenario, shapes, ops);
-        println!(
-            "{:>10} {:>7} {:>10} {:>10} {:>9.3} {:>14.0}",
-            p.scenario, p.shapes, p.hits, p.misses, p.hit_rate, p.ops_per_sec
-        );
-        csv.push_str(&format!(
-            "{},{},{},{},{},{:.4},{},{:.1}\n",
-            p.scenario, p.shapes, p.total_ops, p.hits, p.misses, p.hit_rate, p.nanos, p.ops_per_sec
-        ));
-    }
-    println!();
-    std::fs::create_dir_all(&opts.out).expect("create output dir");
-    std::fs::write(opts.out.join("plan-cache.csv"), csv).expect("write CSV");
-    eprintln!("[figures] wrote {}", opts.out.join("plan-cache.csv").display());
 }
 
 /// D1: the durable-commit latency ladder — the contended single-cell write

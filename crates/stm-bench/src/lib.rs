@@ -12,11 +12,11 @@
 //!   measuring the invisible-read fast path (classic vs fast-read modes on
 //!   the simulator, plus a wall-clock host ladder for the cache-aligned
 //!   layout).
-//! * [`write_path`] — the compiled-plan/MWCAS-kernel ladder: committing
-//!   `add` transactions over k = 1..4 cells, interpreted (per-call spec
-//!   build) vs compiled (cached allocation-free plans), on the simulator
-//!   (deterministic, CI-gated, bit-identity witness) and as a wall-clock
-//!   host ladder (the compiled path's speedup claim).
+//! * [`write_path`] — the MWCAS-kernel ladder: committing `add`
+//!   transactions over k = 1..4 cells, interpreted (the allocating
+//!   general-sweep reference) vs compiled (the allocation-free per-call
+//!   resolution hot path), on the simulator (deterministic, CI-gated,
+//!   bit-identity witness) and as a wall-clock host ladder.
 //! * [`durable`] — the durable-commit latency ladder: the contended write
 //!   path with write-ahead journaling as the variable, from the compiled-out
 //!   no-journal baseline through a simulated flush-cost ladder

@@ -1,15 +1,17 @@
-//! Write-path ladder: the compiled-plan/MWCAS-kernel microbenchmarks.
+//! Write-path ladder: the MWCAS-kernel microbenchmarks.
 //!
 //! Every operation here is a committing `add` transaction over `k` cells —
 //! the pure acquiring write path, with `k` selecting the MWCAS kernel tier:
 //! `k = 1, 2, 4` hit the monomorphized small-k kernels and `k = 3` the
 //! general sweep. Each tier runs in both modes of [`WriteMode`]:
 //!
-//! * `interpreted` — the spec entry point ([`StmOps::run`]), which builds a
-//!   fresh `TxView` (dedup, sort, allocate) on every call.
-//! * `compiled` — the cached-plan entry point ([`StmOps::run_planned`]):
-//!   one compile per (op, cells) shape, then allocation-free replays out of
-//!   the per-thread scratch.
+//! * `interpreted` — the reference entry point ([`StmOps::run`]), which
+//!   allocates a fresh scratch per call and always runs the general sweep.
+//! * `compiled` — the hot path ([`StmOps::run_planned`]): the data set is
+//!   resolved per call into the per-thread scratch and runs on its small-k
+//!   kernel, allocation-free once the thread is warm. (The label predates
+//!   per-call resolution, when this mode replayed cached compiled plans;
+//!   it is kept so committed rows stay comparable.)
 //!
 //! On the **simulated** machines the two modes are bit-identical by
 //! construction — the kernels issue the same memory operations in the same
@@ -19,22 +21,16 @@
 //! additionally asserts `interpreted.cycles == compiled.cycles`, a standing
 //! bit-identity witness.
 //!
-//! The compiled path's *win* is host-side: [`run_write_host_point`] measures
-//! wall-clock throughput on real threads, where skipping per-attempt
-//! allocation and re-planning is the whole point. The uncontended small-k
-//! rows carry the PR's ≥ 1.5× acceptance claim; wall-clock rows are
-//! informational (never CI-gated).
-//!
-//! [`run_cache_point`] is the companion plan-cache ablation (W2): the same
-//! host write path with the number of distinct transaction shapes as the
-//! independent variable, measuring the bounded cache's hit rate and what a
-//! miss-heavy shape churn costs.
+//! The hot path's *win* is host-side: [`run_write_host_point`] measures
+//! wall-clock throughput on real threads, where skipping per-call
+//! allocation is the whole point. Wall-clock rows are informational (never
+//! CI-gated).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use stm_core::machine::host::HostMachine;
-use stm_core::ops::{StmOps, PLAN_CACHE_CAPACITY};
+use stm_core::ops::StmOps;
 use stm_core::stm::{StmConfig, TxOptions, TxSpec};
 use stm_core::word::Word;
 use stm_sim::engine::SimPort;
@@ -57,9 +53,10 @@ pub const WRITE_PROCS: [usize; 2] = [1, 4];
 /// Execution mode under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WriteMode {
-    /// Spec entry point: per-call view build and per-attempt allocation.
+    /// Reference entry point: fresh scratch per call, general sweep.
     Interpreted,
-    /// Cached compiled plan: allocation-free replay through the kernels.
+    /// Hot path: per-call resolution into the thread's scratch, small-k
+    /// kernels, allocation-free once warm.
     Compiled,
 }
 
@@ -302,86 +299,6 @@ pub fn run_write_host_point(
     }
 }
 
-/// One plan-cache ablation measurement: a single thread cycling through
-/// `shapes` distinct 2-cell transaction shapes against the bounded
-/// [`PLAN_CACHE_CAPACITY`]-entry cache.
-#[derive(Debug, Clone)]
-pub struct CachePoint {
-    /// Scenario label (`"resident"` or `"churn"`).
-    pub scenario: &'static str,
-    /// Distinct `(op, cells)` shapes the workload cycles through.
-    pub shapes: usize,
-    /// Committed transactions.
-    pub total_ops: u64,
-    /// Plan-cache lookups served without compiling.
-    pub hits: u64,
-    /// Plan-cache lookups that compiled (cold starts and evictions).
-    pub misses: u64,
-    /// `hits / (hits + misses)`.
-    pub hit_rate: f64,
-    /// Wall-clock nanoseconds for the whole run.
-    pub nanos: u64,
-    /// Transactions per second.
-    pub ops_per_sec: f64,
-}
-
-/// The W2 ablation scenarios: shape counts below and above the cache
-/// capacity. `resident` fits comfortably (steady-state hit rate ≈ 1);
-/// `churn` cycles through 1.5× capacity, which against move-to-front LRU
-/// is the adversarial pattern — every lookup misses and recompiles, so the
-/// throughput gap against `resident` prices what the cache buys.
-pub const CACHE_SCENARIOS: [(&str, usize); 2] =
-    [("resident", 8), ("churn", PLAN_CACHE_CAPACITY + PLAN_CACHE_CAPACITY / 2)];
-
-/// Run one plan-cache ablation scenario on the real host machine
-/// (single-threaded, wall-clock; informational, never CI-gated).
-///
-/// Transaction `i` is an `add(+1, +1)` over cells `[s, s + 1]` with
-/// `s = i mod shapes` — all k = 2, so kernel and protocol cost are
-/// constant and the only variable is whether the plan is found cached.
-///
-/// # Panics
-///
-/// Panics on a lost update.
-pub fn run_cache_point(scenario: &'static str, shapes: usize, total_ops: u64) -> CachePoint {
-    let n_cells = shapes + 1;
-    let ops = StmOps::new(0, n_cells, 1, 8, StmConfig::default());
-    let machine = HostMachine::new(ops.stm().layout().words_needed(), 1);
-    let mut port = machine.port(0);
-    let add = ops.builtins().add;
-    let start = std::time::Instant::now();
-    for i in 0..total_ops {
-        let s = (i % shapes as u64) as usize;
-        ops.run_planned(&mut port, add, &[1, 1], &[s, s + 1], |_| ());
-    }
-    let nanos = start.elapsed().as_nanos() as u64;
-    // Read back in max_locs-sized chunks (the working set can exceed one
-    // transaction's data-set cap).
-    let all_cells: Vec<usize> = (0..n_cells).collect();
-    let sum: u64 = all_cells
-        .chunks(8)
-        .flat_map(|chunk| ops.snapshot(&mut port, chunk))
-        .map(|v| v as u64)
-        .sum();
-    assert_eq!(sum, 2 * total_ops, "each transaction must add 1 to exactly two cells");
-    let stats = ops.plan_cache_stats();
-    assert_eq!(stats.hits + stats.misses, total_ops, "every transaction consults the cache");
-    CachePoint {
-        scenario,
-        shapes,
-        total_ops,
-        hits: stats.hits,
-        misses: stats.misses,
-        hit_rate: stats.hit_rate(),
-        nanos,
-        ops_per_sec: if nanos == 0 {
-            0.0
-        } else {
-            total_ops as f64 * 1e9 / nanos as f64
-        },
-    }
-}
-
 /// Observer under measurement in [`run_observer_ladder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObserverMode {
@@ -404,14 +321,16 @@ impl ObserverMode {
     }
 }
 
-/// Run the full W1 host kernel ladder (compiled plans, `k` = 1..=4, every
-/// thread committing `ops_per_k` `add` transactions per tier) under the
-/// given observer, returning total wall-clock nanoseconds.
+/// Run the full W1 host kernel ladder (the [`Stm::run_in`] hot path,
+/// `k` = 1..=4, every thread committing `ops_per_k` `add` transactions per
+/// tier) under the given observer, returning total wall-clock nanoseconds.
 ///
-/// This is the measurement behind the ≤5% flight-recorder overhead gate:
+/// This is the measurement behind the flight-recorder overhead gate:
 /// `bench_gate` runs it interleaved for both [`ObserverMode`]s and compares
-/// minima, so the recorder's per-event cost is priced on exactly the
-/// shortest (most allocation-free) committing path the runtime has.
+/// them, so the recorder's per-event cost is priced on exactly the shortest
+/// (allocation-free) committing path the runtime has.
+///
+/// [`Stm::run_in`]: stm_core::stm::Stm::run_in
 ///
 /// # Panics
 ///
@@ -433,17 +352,16 @@ pub fn run_observer_ladder(mode: ObserverMode, procs: usize, ops_per_k: u64) -> 
                 let board = Arc::clone(&board);
                 s.spawn(move || {
                     let mut port = machine.port(p);
-                    let add = ops.builtins().add;
                     let cells: Vec<usize> = (0..k).collect();
                     let params = vec![1 as Word; k];
-                    let plan = ops.plan_for(add, &cells);
+                    let spec = TxSpec::new(ops.builtins().add, &params, &cells);
                     let mut scratch = TxScratch::new();
                     match mode {
                         ObserverMode::Noop => {
                             let mut opts = TxOptions::new();
                             for _ in 0..ops_per_k {
                                 ops.stm()
-                                    .run_plan_in(&mut port, &plan, &params, &mut opts, &mut scratch)
+                                    .run_in(&mut port, &spec, &mut opts, &mut scratch)
                                     .expect("unlimited budget cannot be exhausted");
                             }
                         }
@@ -454,7 +372,7 @@ pub fn run_observer_ladder(mode: ObserverMode, procs: usize, ops_per_k: u64) -> 
                             let mut opts = TxOptions::new().observer(&mut rec);
                             for _ in 0..ops_per_k {
                                 ops.stm()
-                                    .run_plan_in(&mut port, &plan, &params, &mut opts, &mut scratch)
+                                    .run_in(&mut port, &spec, &mut opts, &mut scratch)
                                     .expect("unlimited budget cannot be exhausted");
                             }
                         }
@@ -528,17 +446,6 @@ mod tests {
         for mode in WriteMode::ALL {
             assert_eq!(WriteMode::from_label(mode.label()), Some(mode));
         }
-    }
-
-    #[test]
-    fn cache_scenarios_hit_and_miss_as_designed() {
-        let (resident_label, resident_shapes) = CACHE_SCENARIOS[0];
-        let r = run_cache_point(resident_label, resident_shapes, 1_000);
-        assert_eq!(r.misses, resident_shapes as u64, "resident: one cold compile per shape");
-        assert!(r.hit_rate > 0.95, "resident hit rate {:.3}", r.hit_rate);
-        let (churn_label, churn_shapes) = CACHE_SCENARIOS[1];
-        let c = run_cache_point(churn_label, churn_shapes, 1_000);
-        assert_eq!(c.hits, 0, "cyclic churn beyond capacity defeats LRU entirely");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! arena's *maximum* capacity; this module owns the mutable side — which
 //! segments have been grown into, which cells are live. Splitting it this
 //! way keeps every protocol invariant untouched: cell addresses never move,
-//! compiled [`TxPlan`](crate::stm::TxPlan)s stay valid across growth, and
+//! so an address a transaction resolved stays valid across growth, and
 //! freeing a cell does not disturb its packed `stamp|value` word, so a
 //! transaction that raced a free still fails validation the ordinary way
 //! (its logged stamp no longer matches) instead of misbehaving.

@@ -25,7 +25,18 @@
 //! transaction — zero shared-memory writes when the validation holds. After
 //! [`StmConfig::fast_read_rounds`](crate::stm::StmConfig::fast_read_rounds)
 //! failed validations the commit falls back to the full acquiring protocol
-//! (an identity MWCAS), which helps blockers and preserves lock-freedom.
+//! (an identity transaction through the `read` builtin), which helps
+//! blockers and preserves lock-freedom.
+//!
+//! **Footprint limits.** Every commit is one static transaction over the
+//! whole footprint, resolved per call by
+//! [`Stm::run_in`](crate::stm::Stm::run_in), so a footprint may hold at
+//! most the instance's `max_locs` cells (64 for [`DynamicStm::new`]). A
+//! footprint that *writes* is committed by the builtin MWCAS, which packs
+//! one parameter word per cell, so it is further limited to
+//! [`MAX_PARAMS`](crate::layout::MAX_PARAMS) (8) cells: a larger one panics
+//! with "too many parameter words" at commit. Read-only footprints carry no
+//! parameters and are bounded by `max_locs` alone.
 //!
 //! # Examples
 //!
@@ -54,7 +65,7 @@
 use crate::contention::ContentionManager;
 use crate::machine::MemPort;
 use crate::ops::StmOps;
-use crate::stm::{Stm, StmConfig, TxBudget, TxError, TxOptions, TxScratch, TxStats};
+use crate::stm::{Stm, StmConfig, TxBudget, TxError, TxOptions, TxScratch, TxSpec, TxStats};
 use crate::word::{cell_value, pack_cell, Addr, CellIdx, Word};
 
 /// Witness that a transaction body chose to block ([`DynamicTx::retry`]).
@@ -281,7 +292,8 @@ impl DynamicStm {
     /// # Panics
     ///
     /// Panics if the transaction's footprint exceeds the instance's
-    /// `max_locs`.
+    /// `max_locs`, or if a footprint that writes exceeds
+    /// [`MAX_PARAMS`](crate::layout::MAX_PARAMS) cells (see the module doc).
     pub fn run<P, R, O, C, J>(
         &self,
         port: &mut P,
@@ -528,12 +540,14 @@ impl DynamicStm {
             }
 
             // Commit: one static validate-and-write transaction over the
-            // whole footprint. Each location's parameter packs
-            // (expected_old << 32 | new); the program writes only if every
-            // expected value matches — exactly the builtin MWCAS, reused
-            // through the ops handle's plan cache (repeated closures with a
-            // stable footprint skip compilation and pick up the small-k
-            // kernels).
+            // whole footprint, resolved into this call's scratch. Each
+            // location's parameter packs (expected_old << 32 | new); the
+            // program writes only if every expected value matches — exactly
+            // the builtin MWCAS. A read-only body (its fast path exhausted)
+            // commits through the parameterless `read` builtin instead: the
+            // same identity commit, with no per-cell parameter words, so its
+            // footprint is bounded by `max_locs` alone. Either way the check
+            // below compares the agreed old values against the read log.
             cells.clear();
             cells.extend(read_log.iter().map(|e| e.0));
             assert!(
@@ -543,12 +557,17 @@ impl DynamicStm {
                 self.ops.stm().layout().max_locs()
             );
             params.clear();
-            params.extend(read_log.iter().map(|&(c, expected, _)| {
-                let new = write_log
-                    .binary_search_by_key(&c, |e| e.0)
-                    .map_or(expected, |at| write_log[at].1);
-                ((expected as Word) << 32) | new as Word
-            }));
+            let op = if write_log.is_empty() {
+                self.ops.builtins().read
+            } else {
+                params.extend(read_log.iter().map(|&(c, expected, _)| {
+                    let new = write_log
+                        .binary_search_by_key(&c, |e| e.0)
+                        .map_or(expected, |at| write_log[at].1);
+                    ((expected as Word) << 32) | new as Word
+                }));
+                self.ops.builtins().mwcas
+            };
             // Hand the commit whatever time remains; attempt budgeting stays
             // at this level (it counts body executions, not commit CASes).
             let commit_budget = TxBudget {
@@ -560,19 +579,13 @@ impl DynamicStm {
                 max_wakeups: None, // commits never block
             };
             port.step(crate::step::StepPoint::DynCommit);
-            let plan = self.ops.plan_for(self.ops.builtins().mwcas, &cells);
             let mut commit_opts = TxOptions::new()
                 .observer(&mut *obs)
                 .manager(&mut *cm)
                 .budget(commit_budget)
                 .journal(&mut *jrn);
-            let out = match self.ops.stm().run_plan_in(
-                port,
-                &plan,
-                &params,
-                &mut commit_opts,
-                &mut scratch,
-            ) {
+            let spec = TxSpec::new(op, &params, &cells);
+            let out = match self.ops.stm().run_in(port, &spec, &mut commit_opts, &mut scratch) {
                 Ok(out) => out,
                 Err(TxError::BudgetExhausted { cells_contended, .. }) => {
                     return Err(TxError::BudgetExhausted {
@@ -583,10 +596,6 @@ impl DynamicStm {
                 }
                 Err(TxError::OpPanicked { .. }) => {
                     return Err(TxError::OpPanicked { attempts: stats.attempts });
-                }
-                Err(TxError::DuplicateCell { .. }) => {
-                    // The footprint is a sorted log of distinct cells.
-                    unreachable!("dynamic commit footprint is deduplicated by construction")
                 }
                 Err(TxError::Retry { .. }) => {
                     // Only the blocking loop above constructs Retry, and the
@@ -612,10 +621,10 @@ impl DynamicStm {
             // Validation failed: some read was stale. If only a few cells
             // moved (the tunable `delta_retry_cells`; 0 disables the path),
             // take the **delta re-run**: the failed commit executed as an
-            // identity MWCAS, so `scratch` holds a consistent snapshot of the
-            // whole footprint linearized at that commit. Refresh the read log
-            // from it in place and re-run the body served from the log — no
-            // fresh memory reads for footprint cells, so the body computes
+            // identity commit, so `scratch` holds a consistent snapshot of
+            // the whole footprint linearized at that commit. Refresh the read
+            // log from it in place and re-run the body served from the log —
+            // no fresh memory reads for footprint cells, so the body computes
             // against one atomic cut. This is unconditionally safe: the next
             // commit re-validates every read atomically, so a refresh gone
             // stale costs one more retry, never consistency.

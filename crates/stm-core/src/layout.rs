@@ -38,8 +38,8 @@
 //! The layout itself remains an immutable, pure address function over the
 //! *maximum* capacity: growth (committing fresh segments, allocating and
 //! freeing cells) lives entirely in [`CellArena`](crate::arena::CellArena).
-//! A cell's address therefore never moves once handed out, every compiled
-//! [`TxPlan`](crate::stm::TxPlan) stays valid across growth, and — because
+//! A cell's address therefore never moves once handed out, an address a
+//! transaction resolved stays valid across growth, and — because
 //! both `cell(idx)` and `ownership(idx)` are strictly increasing in `idx` —
 //! sorting a data set by [`CellIdx`] still sorts it by ownership address, so
 //! the paper's ascending-order acquisition argument survives verbatim

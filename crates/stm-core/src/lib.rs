@@ -120,8 +120,8 @@ pub use step::{StepKind, StepPoint};
 pub use ops::StmOps;
 pub use program::{OpCode, ProgramTable, TxProgram};
 pub use stm::{
-    BackoffPolicy, Kernel, Sabotage, Stm, StmConfig, TxBudget, TxError, TxOptions, TxOutcome,
-    TxPlan, TxScratch, TxSpec, TxStats,
+    BackoffPolicy, Sabotage, Stm, StmConfig, TxBudget, TxError, TxOptions, TxOutcome, TxScratch,
+    TxSpec, TxStats,
 };
 pub use word::{Addr, CellIdx, Word};
 
@@ -164,8 +164,7 @@ pub mod prelude {
     pub use crate::ops::StmOps;
     pub use crate::program::{OpCode, ProgramTable, TxProgram};
     pub use crate::stm::{
-        Stm, StmConfig, TxBudget, TxError, TxOptions, TxOutcome, TxPlan, TxScratch, TxSpec,
-        TxStats,
+        Stm, StmConfig, TxBudget, TxError, TxOptions, TxOutcome, TxScratch, TxSpec, TxStats,
     };
     pub use crate::word::{Addr, CellIdx, Word};
 }

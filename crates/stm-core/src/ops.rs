@@ -30,24 +30,18 @@
 //! ```
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::machine::MemPort;
 use crate::program::{register_builtins, Builtins, OpCode, ProgramTable, ProgramTableBuilder};
-use crate::stm::{Stm, StmConfig, TxError, TxOptions, TxOutcome, TxPlan, TxScratch, TxSpec};
+use crate::stm::{Stm, StmConfig, TxError, TxOptions, TxOutcome, TxScratch, TxSpec};
 use crate::word::{Addr, CellIdx, Word};
 
-/// Upper bound on cached compiled plans per [`StmOps`] instance. Repeated
-/// static transactions (counters, queue pointers, fixed MWCAS footprints)
-/// cycle through a handful of `(op, cells)` shapes, so a small
-/// move-to-front list captures nearly all of them; on overflow the
-/// least-recently-used plan is dropped and will simply be recompiled on
-/// next use.
-pub const PLAN_CACHE_CAPACITY: usize = 32;
-
-/// Cumulative hit/miss counters of an [`StmOps`] plan cache (see
-/// [`StmOps::plan_cache_stats`]).
+/// Hit/miss counters of a plan cache (see [`StmOps::plan_cache_stats`]).
+///
+/// Static transactions go through no cache — each call resolves its data
+/// set into the thread's scratch — so both counters stay 0. The type
+/// remains for callers that still report them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups served by an already-compiled plan.
@@ -56,52 +50,18 @@ pub struct PlanCacheStats {
     pub misses: u64,
 }
 
-impl PlanCacheStats {
-    /// Hit rate in `[0, 1]`; `0` before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// A bounded move-to-front cache of compiled plans keyed by `(op, cells)`.
-///
-/// The vector is ordered most-recently-used first; hits migrate the plan to
-/// the front, insertions evict the tail. Plans are shared out as
-/// `Arc<TxPlan>` so a lookup never holds the lock during execution.
-#[derive(Debug, Default)]
-struct PlanCache {
-    plans: Mutex<Vec<Arc<TxPlan>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
 thread_local! {
-    /// Per-thread execution arena for the cached-plan entry points: one warm
+    /// Per-thread execution arena for [`StmOps::run_planned`]: one warm
     /// scratch per OS thread means the built-in hot ops run allocation-free
     /// no matter how many `StmOps` handles the thread touches.
     static OPS_SCRATCH: RefCell<TxScratch> = RefCell::new(TxScratch::new());
 }
 
 /// An [`Stm`] instance together with the built-in operation programs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StmOps {
     stm: Stm,
     ops: Builtins,
-    cache: PlanCache,
-}
-
-impl Clone for StmOps {
-    /// Cloning shares the STM instance but starts a fresh (empty) plan
-    /// cache: plans are cheap to recompile, and per-clone caches keep the
-    /// common clone-per-thread pattern free of cross-thread lock traffic.
-    fn clone(&self) -> Self {
-        StmOps { stm: self.stm.clone(), ops: self.ops, cache: PlanCache::default() }
-    }
 }
 
 impl StmOps {
@@ -130,7 +90,6 @@ impl StmOps {
             StmOps {
                 stm: Stm::new(base, n_cells, n_procs, max_locs, table, config),
                 ops,
-                cache: PlanCache::default(),
             },
             x,
         )
@@ -155,7 +114,7 @@ impl StmOps {
         let x = extra(&mut builder);
         let table: Arc<ProgramTable> = builder.build();
         (
-            StmOps { stm: Stm::with_layout(layout, table, config), ops, cache: PlanCache::default() },
+            StmOps { stm: Stm::with_layout(layout, table, config), ops },
             x,
         )
     }
@@ -182,61 +141,23 @@ impl StmOps {
         self.ops
     }
 
-    /// The cumulative hit/miss counters of this handle's plan cache (the
-    /// W2 ablation's measurement hook). Clones start at zero — each clone
-    /// has its own cache.
+    /// Plan-cache hit/miss counters: always zero, since calls resolve their
+    /// data sets per call and no cache exists (see [`PlanCacheStats`]).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.cache.hits.load(Ordering::Relaxed),
-            misses: self.cache.misses.load(Ordering::Relaxed),
-        }
+        PlanCacheStats::default()
     }
 
-    /// Fetch (or compile and cache) the plan for `(op, cells)`.
+    /// Run `(op, params, cells)` with default options (unlimited budget —
+    /// retries until commit) on the thread-local scratch via
+    /// [`Stm::run_in`], handing the committed old values to `read_out`
+    /// while the scratch borrow is live.
     ///
-    /// Cached plans capture no parameter words — parameters vary per call
-    /// and are supplied to [`Stm::run_plan_in`] explicitly — so one plan
-    /// serves every call that shares the `(op, cells)` shape. The cache is
-    /// bounded (32 entries, move-to-front); evicted plans are recompiled on
-    /// next use.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any malformed data set, duplicate cells included —
-    /// matching the spec-validating entry points' behaviour.
-    pub fn plan_for(&self, op: OpCode, cells: &[CellIdx]) -> Arc<TxPlan> {
-        let mut plans = self.cache.plans.lock().expect("plan cache lock");
-        if let Some(at) = plans.iter().position(|p| p.matches(op, cells)) {
-            self.cache.hits.fetch_add(1, Ordering::Relaxed);
-            let plan = plans.remove(at);
-            plans.insert(0, Arc::clone(&plan));
-            return plan;
-        }
-        self.cache.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(
-            self.stm
-                .compile(&TxSpec::new(op, &[], cells))
-                .unwrap_or_else(|e| panic!("{e}")),
-        );
-        if plans.len() >= PLAN_CACHE_CAPACITY {
-            plans.truncate(PLAN_CACHE_CAPACITY - 1);
-        }
-        plans.insert(0, Arc::clone(&plan));
-        plan
-    }
-
-    /// Run `(op, params, cells)` through the plan cache with default options
-    /// (unlimited budget — retries until commit) and the thread-local
-    /// scratch, handing the committed old values to `read_out` while the
-    /// scratch borrow is live.
-    ///
-    /// This is the allocation-free hot path for registered programs with
-    /// recurring `(op, cells)` shapes: the plan is compiled at most once per
-    /// shape (see [`StmOps::plan_for`]) and execution reuses a per-thread
-    /// [`TxScratch`], so a warm call performs zero heap allocations. The
-    /// built-in derived ops ([`StmOps::fetch_add`], [`StmOps::swap`],
-    /// [`StmOps::mwcas`], …) and the `stm-structures` containers all route
-    /// through here.
+    /// This is the allocation-free hot path for registered programs: the
+    /// data set is resolved into the per-thread [`TxScratch`] on each call,
+    /// so a call on a warm thread performs zero heap allocations whether or
+    /// not its data set was seen before. The built-in derived ops
+    /// ([`StmOps::fetch_add`], [`StmOps::swap`], [`StmOps::mwcas`], …) and
+    /// the `stm-structures` containers all route through here.
     ///
     /// # Panics
     ///
@@ -252,20 +173,19 @@ impl StmOps {
         cells: &[CellIdx],
         read_out: impl FnOnce(&[u32]) -> R,
     ) -> R {
-        let plan = self.plan_for(op, cells);
         OPS_SCRATCH.with(|s| {
             let mut scratch = s.borrow_mut();
             let _stats = self
                 .stm
-                .run_plan_in(port, &plan, params, &mut TxOptions::new(), &mut scratch)
+                .run_in(port, &TxSpec::new(op, params, cells), &mut TxOptions::new(), &mut scratch)
                 .expect("unlimited budget cannot be exhausted and builtins do not panic");
             read_out(scratch.old())
         })
     }
 
     /// Atomically add `delta` (wrapping) to `cell`, returning the old value.
-    /// Runs off a cached single-cell plan ([`Kernel::K1`](crate::stm::Kernel)):
-    /// allocation-free once the cache and the thread's scratch are warm.
+    /// Runs on the single-cell commit kernel, allocation-free once the
+    /// thread's scratch is warm.
     pub fn fetch_add<P: MemPort>(&self, port: &mut P, cell: CellIdx, delta: u32) -> u32 {
         self.run_planned(port, self.ops.add, &[delta as Word], &[cell], |old| {
             // Invariant: `TxOutcome::old` has exactly one entry per data-set
@@ -293,7 +213,7 @@ impl StmOps {
     }
 
     /// Atomically replace `cell` with `value`, returning the old value.
-    /// Runs off a cached single-cell plan, like [`StmOps::fetch_add`].
+    /// Runs on the single-cell commit kernel, like [`StmOps::fetch_add`].
     pub fn swap<P: MemPort>(&self, port: &mut P, cell: CellIdx, value: u32) -> u32 {
         self.run_planned(port, self.ops.swap, &[value as Word], &[cell], |old| {
             debug_assert_eq!(old.len(), 1, "one old value per data-set cell");
@@ -316,7 +236,7 @@ impl StmOps {
     /// front so both paths accept exactly the same inputs.
     pub fn snapshot<P: MemPort>(&self, port: &mut P, cells: &[CellIdx]) -> Vec<u32> {
         let spec = TxSpec::new(self.ops.read, &[], cells);
-        self.stm.validate_spec(port, &spec);
+        OPS_SCRATCH.with(|s| self.stm.resolve(port, &spec, &mut s.borrow_mut().view));
         if let Some(out) = self.stm.try_read_only(port, cells) {
             return out.old;
         }

@@ -8,8 +8,8 @@
 //! in [`crate::word`], so redundant execution is harmless — exactly the
 //! paper's design.
 //!
-//! The protocol executes off a borrowed [`ViewRef`] (compiled plan or
-//! per-call view) plus reusable [`TxScratch`] buffers, so the retry loop and
+//! The protocol executes off a borrowed [`ViewRef`] (the data set resolved
+//! once per call) plus reusable [`TxScratch`] buffers, so the retry loop and
 //! the helping path allocate nothing per attempt. The per-cell protocol
 //! steps live in `*_cell` functions shared by the general slice-driven
 //! sweeps and the monomorphized small-k kernels ([`Kernel::K1`]/[`K2`]/
@@ -31,7 +31,7 @@ use crate::word::{
 };
 
 use super::plan::{Kernel, ProtoBuf, TxScratch, ViewBuf, ViewRef};
-use super::{Stm, TxBudget, TxError, TxSpec, TxStats};
+use super::{Stm, TxBudget, TxError, TxStats};
 
 /// A contained panic payload from a user commit program (re-raised or
 /// surfaced as [`TxError::OpPanicked`] by the caller, after cleanup).
@@ -100,32 +100,30 @@ enum SweepOutcome {
 /// for `spec`, then abandon the transaction undecided (as a processor that
 /// crashed mid-protocol would). The paper's liveness claim is that other
 /// processors *complete* such a transaction via helping.
-pub(super) fn start_and_abandon<P: MemPort>(stm: &Stm, port: &mut P, spec: &TxSpec<'_>) {
+pub(super) fn start_and_abandon<P: MemPort>(stm: &Stm, port: &mut P, view: ViewRef<'_>) {
     let me = port.proc_id();
     let l = *stm.layout();
     let (prev_version, _) = unpack_status(port.read(l.status(me)));
     let version = prev_version.wrapping_add(1);
     port.write(l.status(me), pack_status(version, TxStatus::Initializing));
-    port.write(l.size(me), spec.cells.len() as Word);
-    port.write(l.opcode(me), spec.op.index() as Word);
-    port.write(l.nparams(me), spec.params.len() as Word);
-    for (i, &p) in spec.params.iter().enumerate() {
+    port.write(l.size(me), view.cells.len() as Word);
+    port.write(l.opcode(me), view.op.index() as Word);
+    port.write(l.nparams(me), view.params.len() as Word);
+    for (i, &p) in view.params.iter().enumerate() {
         port.write(l.param(me, i), p);
     }
-    for (j, &c) in spec.cells.iter().enumerate() {
+    for (j, &c) in view.cells.iter().enumerate() {
         port.write(l.addr_slot(me, j), c as Word);
         port.write(l.oldval_slot(me, j), pack_oldval_unset(version));
     }
     port.write(l.status(me), pack_status(version, TxStatus::Null));
-    let mut vb = ViewBuf::default();
-    vb.fill_from_spec(&l, spec);
-    let _ = acquire_general(stm, port, me, version, vb.view(spec.op), &mut NoopObserver, SweepMode::Classic);
+    let _ = acquire_general(stm, port, me, version, view, &mut NoopObserver, SweepMode::Classic);
     // ... and vanish: no decision handling, no release, no retry.
 }
 
 /// The retry loop behind every budgeted/managed entry point
 /// ([`Stm::run`](crate::stm::Stm::run) and
-/// [`Stm::run_plan_in`](crate::stm::Stm::run_plan_in)): run `view` under a
+/// [`Stm::run_in`](crate::stm::Stm::run_in)): run `view` under a
 /// [`TxBudget`], consulting a [`ContentionManager`] between attempts.
 ///
 /// On commit the data set's old values are left in `scratch`
@@ -412,7 +410,7 @@ fn attempt<P: MemPort, O: TxObserver, J: Journal>(
 /// helping).
 ///
 /// The snapshot and the replay run out of the scratch's dedicated `help_*`
-/// buffers: the helper's own plan view stays borrowed while it replays the
+/// buffers: the helper's own view stays borrowed while it replays the
 /// victim's commit, so the two transactions must never share storage.
 ///
 /// If the helped commit program panics, the payload is swallowed here: the
@@ -466,7 +464,7 @@ fn help<P: MemPort, O: TxObserver, J: Journal>(
 }
 
 /// The paper's `transaction` procedure, executed identically by the owner
-/// and by helpers, dispatched to the plan's commit kernel.
+/// and by helpers, dispatched to the call's commit kernel.
 ///
 /// Every kernel issues the identical shared-memory operation and step
 /// sequence (they share the `*_cell` building blocks); the small-k variants

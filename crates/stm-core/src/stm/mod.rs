@@ -39,7 +39,7 @@ mod options;
 mod plan;
 
 pub use options::TxOptions;
-pub use plan::{Kernel, TxPlan, TxScratch};
+pub use plan::TxScratch;
 
 use std::fmt;
 use std::sync::Arc;
@@ -48,6 +48,8 @@ use crate::layout::{StmLayout, MAX_PARAMS};
 use crate::machine::MemPort;
 use crate::program::{OpCode, ProgramTable};
 use crate::word::{cell_value, Addr, CellIdx, Word};
+
+use plan::{Kernel, ViewBuf};
 
 /// Back-off policy applied between retries of a failed transaction.
 ///
@@ -275,17 +277,6 @@ pub enum TxError {
         /// Attempts made, including the one whose program panicked.
         attempts: u64,
     },
-    /// The spec's data set lists the same cell twice ([`Stm::compile`]).
-    /// Duplicates would double-acquire the cell's ownership under the
-    /// ascending sweep: the second acquisition sees the first's claim as
-    /// "already mine" and proceeds, but release then frees the cell once
-    /// while a helper may still be replaying the other position — so the
-    /// compiler rejects the spec instead of running it. (The spec-validating
-    /// entry points keep their historical panic for the same condition.)
-    DuplicateCell {
-        /// The repeated cell index.
-        cell: CellIdx,
-    },
     /// A blocking transaction
     /// ([`DynamicStm::run_blocking`](crate::dynamic::DynamicStm::run_blocking))
     /// gave up while waiting: either its wakeup budget
@@ -311,9 +302,6 @@ impl fmt::Display for TxError {
                 "transaction program panicked on attempt {attempts} \
                  (aborted cleanly; all ownerships released)"
             ),
-            TxError::DuplicateCell { cell } => {
-                write!(f, "duplicate cell {cell} in data set")
-            }
             TxError::Retry { wakeups } => write!(
                 f,
                 "blocking transaction gave up after {wakeups} wakeups \
@@ -502,6 +490,10 @@ impl Stm {
     /// variants. On commit, returns the data set's old values in program
     /// order.
     ///
+    /// Each call allocates a fresh [`TxScratch`] and always runs the general
+    /// commit sweep: this is the reference the small-k kernels of
+    /// [`Stm::run_in`], the allocation-free hot path, are checked against.
+    ///
     /// While the manager reports
     /// [`help_first`](crate::contention::ContentionManager::help_first),
     /// retries run with helping forced on even if this instance was
@@ -533,140 +525,36 @@ impl Stm {
         C: crate::contention::ContentionManager,
         J: crate::durable::Journal,
     {
-        self.validate_spec(port, spec);
-        self.run_spec_inner(
-            port,
-            spec,
-            opts.budget,
-            &mut opts.manager,
-            &mut opts.observer,
-            &mut opts.journal,
-        )
+        let mut scratch = TxScratch::new();
+        let stats = self.run_kernel(port, spec, opts, &mut scratch, Kernel::General)?;
+        Ok(TxOutcome {
+            old: std::mem::take(&mut scratch.out_old),
+            old_stamps: std::mem::take(&mut scratch.out_stamps),
+            stats,
+        })
     }
 
-    /// Run an already-validated spec: build the per-call view once (the view
-    /// is attempt-invariant — retries reuse it) and drive the general
-    /// kernel's retry loop out of a call-local scratch.
-    fn run_spec_inner<P, C, O, J>(
+    /// Execute `spec` under `opts` out of a caller-owned [`TxScratch`] — the
+    /// allocation-free hot path. The data set is resolved into the scratch
+    /// once per call (acquisition order, duplicate check, addresses), and
+    /// data sets of 1, 2 or 4 cells run on monomorphized commit sweeps that
+    /// issue exactly [`Stm::run`]'s shared-memory operations. With a warm
+    /// scratch the whole call — the retry loop, the commit sweeps, and any
+    /// helping of other processors' transactions — performs **zero heap
+    /// allocations**; on commit the data set's old values are left in the
+    /// scratch ([`TxScratch::old`] / [`TxScratch::old_stamps`]).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Stm::run`].
+    ///
+    /// # Panics
+    ///
+    /// Same as [`Stm::run`], with the same messages.
+    pub fn run_in<P, O, C, J>(
         &self,
         port: &mut P,
         spec: &TxSpec<'_>,
-        budget: TxBudget,
-        cm: &mut C,
-        obs: &mut O,
-        jrn: &mut J,
-    ) -> Result<TxOutcome, TxError>
-    where
-        P: MemPort,
-        C: crate::contention::ContentionManager,
-        O: crate::observe::TxObserver,
-        J: crate::durable::Journal,
-    {
-        let mut vb = plan::ViewBuf::default();
-        vb.fill_from_spec(&self.layout, spec);
-        let mut scratch = TxScratch::new();
-        scratch.reserve_for(&self.layout);
-        let stats = algo::execute_loop(
-            self,
-            port,
-            vb.view(spec.op),
-            Kernel::General,
-            budget,
-            cm,
-            obs,
-            jrn,
-            &mut scratch,
-        )?;
-        Ok(TxOutcome {
-            old: std::mem::take(&mut scratch.out_old),
-            old_stamps: std::mem::take(&mut scratch.out_stamps),
-            stats,
-        })
-    }
-
-    /// Compile `spec` into a reusable [`TxPlan`]: duplicate-checked cells,
-    /// the ascending acquisition order, resolved cell/ownership addresses,
-    /// and the commit [`Kernel`] (a monomorphized small-k sweep for data
-    /// sets of 1, 2, or 4 cells) — everything the protocol would otherwise
-    /// recompute per call, done once.
-    ///
-    /// Plans are immutable and port-agnostic: share one across threads with
-    /// `Arc` and run it on any port of this instance via [`Stm::run_plan`] /
-    /// [`Stm::run_plan_in`]. [`StmOps`](crate::ops::StmOps) keeps a bounded
-    /// cache of them keyed by `(op, cells)`.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::DuplicateCell`] when the data set lists a cell twice (the
-    /// condition the spec-validating entry points panic on).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the other malformed-spec conditions, matching
-    /// [`Stm::run`]: empty or oversized data set, too many parameters, an
-    /// out-of-range cell index, or a foreign opcode.
-    pub fn compile(&self, spec: &TxSpec<'_>) -> Result<TxPlan, TxError> {
-        TxPlan::compile(self, spec)
-    }
-
-    /// Execute a compiled plan with its captured parameters, allocating only
-    /// the returned [`TxOutcome`]. Convenience wrapper over
-    /// [`Stm::run_plan_in`] for callers that do not hold a
-    /// [`TxScratch`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Stm::run`].
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Stm::run_plan_in`].
-    pub fn run_plan<P, O, C, J>(
-        &self,
-        port: &mut P,
-        plan: &TxPlan,
-        opts: &mut TxOptions<O, C, J>,
-    ) -> Result<TxOutcome, TxError>
-    where
-        P: MemPort,
-        O: crate::observe::TxObserver,
-        C: crate::contention::ContentionManager,
-        J: crate::durable::Journal,
-    {
-        let mut scratch = TxScratch::new();
-        let stats = self.run_plan_in(port, plan, plan.params(), opts, &mut scratch)?;
-        Ok(TxOutcome {
-            old: std::mem::take(&mut scratch.out_old),
-            old_stamps: std::mem::take(&mut scratch.out_stamps),
-            stats,
-        })
-    }
-
-    /// Execute a compiled plan out of a caller-owned [`TxScratch`] — the
-    /// allocation-free hot path. With a warm scratch, the entire call (the
-    /// retry loop, the commit sweeps, and any helping of other processors'
-    /// transactions) performs **zero heap allocations**; on commit the data
-    /// set's old values are left in the scratch ([`TxScratch::old`] /
-    /// [`TxScratch::old_stamps`]).
-    ///
-    /// `params` are the parameter words for this call (pass
-    /// [`TxPlan::params`] to use the ones captured at compile time): one
-    /// plan serves every call sharing `(op, cells)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Stm::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan was compiled against a different layout than this
-    /// instance's, if `params` exceeds [`MAX_PARAMS`], or if the port's
-    /// processor id is out of range.
-    pub fn run_plan_in<P, O, C, J>(
-        &self,
-        port: &mut P,
-        plan: &TxPlan,
-        params: &[Word],
         opts: &mut TxOptions<O, C, J>,
         scratch: &mut TxScratch,
     ) -> Result<TxStats, TxError>
@@ -676,24 +564,44 @@ impl Stm {
         C: crate::contention::ContentionManager,
         J: crate::durable::Journal,
     {
-        assert!(
-            *plan.layout() == self.layout,
-            "plan compiled against a different STM layout"
-        );
-        assert!(params.len() <= MAX_PARAMS, "too many parameter words");
-        assert!(port.proc_id() < self.layout.n_procs(), "port processor id out of range for this STM");
+        self.run_kernel(port, spec, opts, scratch, Kernel::for_k(spec.cells.len()))
+    }
+
+    /// Validate and resolve `spec` into `scratch`, then drive the retry loop
+    /// on `kernel`.
+    fn run_kernel<P, O, C, J>(
+        &self,
+        port: &mut P,
+        spec: &TxSpec<'_>,
+        opts: &mut TxOptions<O, C, J>,
+        scratch: &mut TxScratch,
+        kernel: Kernel,
+    ) -> Result<TxStats, TxError>
+    where
+        P: MemPort,
+        O: crate::observe::TxObserver,
+        C: crate::contention::ContentionManager,
+        J: crate::durable::Journal,
+    {
         scratch.reserve_for(&self.layout);
-        algo::execute_loop(
+        self.resolve(port, spec, &mut scratch.view);
+        // The view is read-only while the loop runs but lives in the scratch
+        // the loop also writes; moving its buffers out and back costs no
+        // allocation.
+        let view = std::mem::take(&mut scratch.view);
+        let stats = algo::execute_loop(
             self,
             port,
-            plan.view(params),
-            plan.kernel(),
+            view.view(spec.op),
+            kernel,
             opts.budget,
             &mut opts.manager,
             &mut opts.observer,
             &mut opts.journal,
             scratch,
-        )
+        );
+        scratch.view = view;
+        stats
     }
 
     /// The read-only fast path: snapshot `cells` via a validated
@@ -793,11 +701,19 @@ impl Stm {
     ///
     /// Same spec validation as [`Stm::run`].
     pub fn inject_crash_after_acquire<P: MemPort>(&self, port: &mut P, spec: &TxSpec<'_>) {
-        self.validate_spec(port, spec);
-        algo::start_and_abandon(self, port, spec);
+        let mut view = ViewBuf::default();
+        self.resolve(port, spec, &mut view);
+        algo::start_and_abandon(self, port, view.view(spec.op));
     }
 
-    pub(crate) fn validate_spec<P: MemPort>(&self, port: &mut P, spec: &TxSpec<'_>) {
+    /// Validate `spec` and resolve it into `view`: the acquisition order, the
+    /// cell and ownership addresses, and the duplicate check on that order
+    /// (`O(k log k)`).
+    ///
+    /// # Panics
+    ///
+    /// On every malformed-spec condition listed under [`Stm::run`].
+    pub(crate) fn resolve<P: MemPort>(&self, port: &P, spec: &TxSpec<'_>, view: &mut ViewBuf) {
         assert!(!spec.cells.is_empty(), "empty data set");
         assert!(
             spec.cells.len() <= self.layout.max_locs(),
@@ -811,11 +727,12 @@ impl Stm {
             self.table.resolve_raw(spec.op.index() as Word).is_some(),
             "opcode not registered in this instance's table"
         );
-        for (i, &c) in spec.cells.iter().enumerate() {
+        for &c in spec.cells {
             assert!(c < self.layout.n_cells(), "cell index {c} out of range");
-            for &d in &spec.cells[..i] {
-                assert!(c != d, "duplicate cell {c} in data set");
-            }
+        }
+        view.fill(&self.layout, spec);
+        if let Some(c) = view.duplicate() {
+            panic!("duplicate cell {c} in data set");
         }
     }
 }

@@ -1,27 +1,21 @@
-//! Compiled transaction plans and reusable execution scratch.
+//! Per-call data-set resolution and reusable execution scratch.
 //!
-//! The paper's transactions are *static*: the data set is declared before the
-//! transaction runs. That means every piece of per-transaction planning —
-//! duplicate detection, the ascending acquisition order, the cell/ownership
-//! address resolution, the small-k kernel choice — is a pure function of the
-//! [`TxSpec`](crate::stm::TxSpec) and can be computed **once**, not once per
-//! attempt. A [`TxPlan`] is exactly that precomputation, and a [`TxScratch`]
-//! is the reusable buffer arena that lets the retry loop, the helping path,
-//! and the dynamic layer's commit run with **zero heap allocations per
-//! attempt** (see `docs/protocol.md` §9).
-//!
-//! Plans are immutable and machine-agnostic (they bake in the
-//! [`StmLayout`](crate::layout::StmLayout), not a port), so one plan can be
-//! shared across threads (`Arc<TxPlan>`) and executed on any port of the
-//! same instance.
+//! The paper's transactions are *static*: the data set is declared with every
+//! call. Resolving it — the ascending acquisition order, duplicate detection
+//! on that order, and the cell/ownership addresses — is one sort of at most
+//! `max_locs` cells plus a shift-and-add per address, so it is done afresh on
+//! every call into the caller's [`TxScratch`] instead of being looked up in a
+//! cache (see `docs/protocol.md` §9). Resolution happens once per *call*, not
+//! per attempt: the retry loop, the helping path, and the dynamic layer's
+//! commit then run with **zero heap allocations** once the scratch is warm.
 
 use crate::layout::{StmLayout, MAX_PARAMS};
 use crate::program::OpCode;
 use crate::word::{Addr, CellIdx, Word};
 
-use super::{Stm, TxError, TxSpec};
+use super::TxSpec;
 
-/// The commit-sweep kernel a plan executes with.
+/// The commit-sweep kernel a call executes with.
 ///
 /// Small data sets (the common case: counters, queue pointers, small MWCAS)
 /// get fully monomorphized acquisition/agreement/update/release sweeps whose
@@ -31,21 +25,21 @@ use super::{Stm, TxError, TxSpec};
 /// [`Kernel::General`]; the kernels differ only in local code shape
 /// (stack arrays instead of scratch vectors, unrolled loops).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
+pub(crate) enum Kernel {
     /// Monomorphized single-cell sweep (`k = 1`).
     K1,
     /// Monomorphized two-cell sweep (`k = 2`).
     K2,
     /// Monomorphized four-cell sweep (`k = 4`).
     K4,
-    /// The general slice-driven sweep, for any `k` (also the interpreted
-    /// baseline the spec-driven entry points use).
+    /// The general slice-driven sweep, for any `k` (also the one the
+    /// reference [`Stm::run`](super::Stm::run) always executes).
     General,
 }
 
 impl Kernel {
     /// The kernel selected for a data set of `k` cells.
-    pub fn for_k(k: usize) -> Self {
+    pub(crate) fn for_k(k: usize) -> Self {
         match k {
             1 => Kernel::K1,
             2 => Kernel::K2,
@@ -53,144 +47,12 @@ impl Kernel {
             _ => Kernel::General,
         }
     }
-
-    /// The specialized width, if this is a small-k kernel.
-    pub fn k(self) -> Option<usize> {
-        match self {
-            Kernel::K1 => Some(1),
-            Kernel::K2 => Some(2),
-            Kernel::K4 => Some(4),
-            Kernel::General => None,
-        }
-    }
-}
-
-/// A transaction spec compiled once: deduplication-checked cells, the
-/// ascending acquisition order, resolved cell/ownership addresses, the
-/// captured parameter words, and the selected [`Kernel`].
-///
-/// Build one with [`Stm::compile`]; run it with [`Stm::run_plan`] (allocates
-/// only the returned [`TxOutcome`](crate::stm::TxOutcome)) or
-/// [`Stm::run_plan_in`] (fully allocation-free per call once the
-/// [`TxScratch`] is warm). The captured `params` are the default for
-/// [`Stm::run_plan`]; the `_in` entry point takes the parameter words
-/// explicitly, so one plan serves every call that shares `(op, cells)` —
-/// the plan-cache key used by [`StmOps`](crate::ops::StmOps).
-#[derive(Debug, Clone)]
-pub struct TxPlan {
-    op: OpCode,
-    params: Box<[Word]>,
-    /// Data set in program order (validated duplicate-free).
-    cells: Box<[CellIdx]>,
-    /// Permutation of `0..cells.len()` sorting positions by ascending cell
-    /// index — the paper's global acquisition order.
-    order: Box<[usize]>,
-    /// Resolved cell addresses, in program order.
-    cell_addrs: Box<[Addr]>,
-    /// Resolved ownership-word addresses, in program order.
-    own_addrs: Box<[Addr]>,
-    kernel: Kernel,
-    /// The layout this plan was resolved against; checked at run time so a
-    /// plan can never be replayed on a differently laid-out instance.
-    layout: StmLayout,
-}
-
-impl TxPlan {
-    pub(super) fn compile(stm: &Stm, spec: &TxSpec<'_>) -> Result<TxPlan, TxError> {
-        let l = *stm.layout();
-        assert!(!spec.cells.is_empty(), "empty data set");
-        assert!(
-            spec.cells.len() <= l.max_locs(),
-            "data set of {} exceeds max_locs {}",
-            spec.cells.len(),
-            l.max_locs()
-        );
-        assert!(spec.params.len() <= MAX_PARAMS, "too many parameter words");
-        assert!(
-            stm.table().resolve_raw(spec.op.index() as Word).is_some(),
-            "opcode not registered in this instance's table"
-        );
-        for &c in spec.cells {
-            assert!(c < l.n_cells(), "cell index {c} out of range");
-        }
-        let order = ascending_order(spec.cells);
-        // Sorted adjacency makes duplicate detection O(k log k) instead of
-        // the validator's O(k^2) scan.
-        for w in order.windows(2) {
-            if spec.cells[w[0]] == spec.cells[w[1]] {
-                return Err(TxError::DuplicateCell { cell: spec.cells[w[1]] });
-            }
-        }
-        let cell_addrs: Box<[Addr]> = spec.cells.iter().map(|&c| l.cell(c)).collect();
-        let own_addrs: Box<[Addr]> = spec.cells.iter().map(|&c| l.ownership(c)).collect();
-        Ok(TxPlan {
-            op: spec.op,
-            params: spec.params.into(),
-            cells: spec.cells.into(),
-            order: order.into_boxed_slice(),
-            cell_addrs,
-            own_addrs,
-            kernel: Kernel::for_k(spec.cells.len()),
-            layout: l,
-        })
-    }
-
-    /// The commit program this plan runs.
-    pub fn op(&self) -> OpCode {
-        self.op
-    }
-
-    /// The parameter words captured at compile time (the default for
-    /// [`Stm::run_plan`]).
-    pub fn params(&self) -> &[Word] {
-        &self.params
-    }
-
-    /// The data set, in program order.
-    pub fn cells(&self) -> &[CellIdx] {
-        &self.cells
-    }
-
-    /// The selected commit kernel.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// Whether this plan was compiled for `(op, cells)` — the plan-cache key.
-    pub fn matches(&self, op: OpCode, cells: &[CellIdx]) -> bool {
-        self.op == op && *self.cells == *cells
-    }
-
-    pub(super) fn layout(&self) -> &StmLayout {
-        &self.layout
-    }
-
-    /// Borrow this plan as the protocol's execution view, with explicit
-    /// parameter words.
-    pub(crate) fn view<'a>(&'a self, params: &'a [Word]) -> ViewRef<'a> {
-        ViewRef {
-            op: self.op,
-            params,
-            cells: &self.cells,
-            order: &self.order,
-            cell_addrs: &self.cell_addrs,
-            own_addrs: &self.own_addrs,
-        }
-    }
-}
-
-pub(crate) fn ascending_order(cells: &[CellIdx]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..cells.len()).collect();
-    // Unstable sort never allocates; for the distinct keys of a valid data
-    // set it yields the same permutation as a stable sort.
-    order.sort_unstable_by_key(|&j| cells[j]);
-    order
 }
 
 /// A borrowed, fully resolved view of one transaction: the commit program,
 /// its parameters, and the data set with its acquisition order and resolved
-/// addresses. Both [`TxPlan`]s and per-call [`ViewBuf`]s lower to this; the
-/// whole protocol in `algo.rs` runs off it.
+/// addresses, borrowed from a [`ViewBuf`]. The whole protocol in `algo.rs`
+/// runs off it.
 #[derive(Clone, Copy)]
 pub(crate) struct ViewRef<'a> {
     pub op: OpCode,
@@ -201,10 +63,9 @@ pub(crate) struct ViewRef<'a> {
     pub own_addrs: &'a [Addr],
 }
 
-/// Reusable owned backing for a [`ViewRef`]: the spec-driven entry points
-/// fill one per *call* (hoisting the old per-attempt `TxView` rebuild), and
-/// the helping path refills one per helped transaction — `clear` + `extend`
-/// only, so a warm buffer never reallocates.
+/// Reusable owned backing for a [`ViewRef`]: the entry points fill one per
+/// *call*, and the helping path refills one per helped transaction —
+/// `clear` + `extend` only, so a warm buffer never reallocates.
 #[derive(Debug, Default)]
 pub(crate) struct ViewBuf {
     pub params: Vec<Word>,
@@ -235,23 +96,13 @@ impl ViewBuf {
         ensure_capacity(&mut self.own_addrs, k);
     }
 
-    /// Fill from an already-validated spec (cells in range, no duplicates).
-    pub(crate) fn fill_from_spec(&mut self, layout: &StmLayout, spec: &TxSpec<'_>) {
-        self.fill(layout, spec.params.iter().copied(), spec.cells.iter().copied());
-    }
-
-    /// Fill the view from raw parameter/cell iterators, recomputing the
-    /// acquisition order and resolved addresses. Cells must be in range.
-    pub(crate) fn fill(
-        &mut self,
-        layout: &StmLayout,
-        params: impl Iterator<Item = Word>,
-        cells: impl Iterator<Item = CellIdx>,
-    ) {
+    /// Copy a spec's parameters and data set in and resolve them. Cells must
+    /// be in range; duplicates are left for [`ViewBuf::duplicate`] to find.
+    pub(crate) fn fill(&mut self, layout: &StmLayout, spec: &TxSpec<'_>) {
         self.params.clear();
-        self.params.extend(params);
+        self.params.extend_from_slice(spec.params);
         self.cells.clear();
-        self.cells.extend(cells);
+        self.cells.extend_from_slice(spec.cells);
         self.finish(layout);
     }
 
@@ -267,6 +118,15 @@ impl ViewBuf {
         self.cell_addrs.extend(self.cells.iter().map(|&c| layout.cell(c)));
         self.own_addrs.clear();
         self.own_addrs.extend(self.cells.iter().map(|&c| layout.ownership(c)));
+    }
+
+    /// A cell listed twice, if any: duplicates sit next to each other in the
+    /// ascending acquisition order, so one pass over it finds them.
+    pub(crate) fn duplicate(&self) -> Option<CellIdx> {
+        self.order
+            .windows(2)
+            .map(|w| (self.cells[w[0]], self.cells[w[1]]))
+            .find_map(|(a, b)| (a == b).then_some(b))
     }
 
     pub(crate) fn view(&self, op: OpCode) -> ViewRef<'_> {
@@ -299,21 +159,25 @@ impl ProtoBuf {
     }
 }
 
-/// The reusable per-thread execution arena for [`Stm::run_plan_in`].
+/// The reusable per-thread execution arena for [`Stm::run_in`](super::Stm::run_in).
 ///
-/// Holds every buffer the retry loop, the commit sweeps, and the one-level
-/// helping path need, so that a warm scratch executes an entire attempt —
-/// including helping another processor's transaction — without touching the
+/// Holds every buffer a call needs — the caller's resolved data set, the
+/// retry loop's and commit sweeps' phase buffers, and the one-level helping
+/// path's — so that a warm scratch resolves and executes an entire call,
+/// including helping another processor's transaction, without touching the
 /// heap. The helping path has its **own** view and phase buffers
 /// (`help_*`): a helper snapshots the victim's record and replays its
-/// commit while the helper's own plan view is still borrowed, so the two
-/// must not share storage.
+/// commit while the helper's own view is still borrowed, so the two must
+/// not share storage.
 ///
-/// After a committed [`Stm::run_plan_in`], the data set's old values are
-/// left in the scratch ([`TxScratch::old`] / [`TxScratch::old_stamps`]) —
-/// returning them by value would force an allocation per call.
+/// After a committed [`Stm::run_in`](super::Stm::run_in), the data set's old
+/// values are left in the scratch ([`TxScratch::old`] /
+/// [`TxScratch::old_stamps`]) — returning them by value would force an
+/// allocation per call.
 #[derive(Debug, Default)]
 pub struct TxScratch {
+    /// The caller's own data set, resolved per call.
+    pub(crate) view: ViewBuf,
     /// Phase buffers for the caller's own transaction.
     pub(crate) proto: ProtoBuf,
     /// Committed old values (program order), valid after a successful run.
@@ -329,10 +193,9 @@ pub struct TxScratch {
 }
 
 impl TxScratch {
-    /// An empty scratch. Buffers grow on first use and are reused
-    /// thereafter; call [`Stm::run_plan_in`] once to warm it, or rely on
-    /// the entry point's up-front `reserve` (capacities are bounded by the
-    /// instance's `max_locs`, so warm-up is one-time and small).
+    /// An empty scratch. The first [`Stm::run_in`](super::Stm::run_in)
+    /// reserves every buffer to the instance's `max_locs` bound, so warm-up
+    /// is one-time and small; later calls reuse the buffers.
     pub fn new() -> Self {
         Self::default()
     }
@@ -353,6 +216,7 @@ impl TxScratch {
     /// (helping included) never allocates. Constant-time no-op when warm.
     pub(crate) fn reserve_for(&mut self, layout: &StmLayout) {
         let k = layout.max_locs();
+        self.view.reserve_for(layout);
         self.proto.reserve_for(layout);
         ensure_capacity(&mut self.out_old, k);
         ensure_capacity(&mut self.out_stamps, k);
@@ -381,29 +245,28 @@ mod tests {
         assert_eq!(Kernel::for_k(3), Kernel::General);
         assert_eq!(Kernel::for_k(4), Kernel::K4);
         assert_eq!(Kernel::for_k(5), Kernel::General);
-        assert_eq!(Kernel::K2.k(), Some(2));
-        assert_eq!(Kernel::General.k(), None);
     }
 
     #[test]
-    fn ascending_order_permutes_by_cell() {
-        assert_eq!(ascending_order(&[9, 1, 5]), vec![1, 2, 0]);
-        assert_eq!(ascending_order(&[1]), vec![0]);
-        assert_eq!(ascending_order(&[2, 3, 4]), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn view_buf_matches_plan_resolution() {
+    fn view_buf_resolves_order_and_addresses() {
         let layout = StmLayout::new(0, 16, 2, 8);
+        let mut b = crate::program::ProgramTable::builder();
+        let add = crate::program::register_builtins(&mut b).add;
         let mut buf = ViewBuf::default();
-        buf.fill(&layout, [7u64].into_iter(), [9usize, 1, 5].into_iter());
+        buf.fill(&layout, &TxSpec::new(add, &[7], &[9, 1, 5]));
         assert_eq!(buf.order, vec![1, 2, 0]);
         assert_eq!(buf.cell_addrs, vec![layout.cell(9), layout.cell(1), layout.cell(5)]);
         assert_eq!(buf.own_addrs, vec![layout.ownership(9), layout.ownership(1), layout.ownership(5)]);
+        assert_eq!(buf.duplicate(), None);
         // Refill reuses the buffers and fully replaces the contents.
-        buf.fill(&layout, [].into_iter(), [3usize].into_iter());
+        buf.fill(&layout, &TxSpec::new(add, &[], &[3]));
         assert_eq!(buf.cells, vec![3]);
         assert_eq!(buf.order, vec![0]);
+        // Duplicates are found wherever they sit in program order.
+        for cells in [&[4usize, 4][..], &[2, 9, 4, 9], &[6, 1, 0, 1]] {
+            buf.fill(&layout, &TxSpec::new(add, &[], cells));
+            assert_eq!(buf.duplicate(), Some(cells[cells.len() - 1]), "{cells:?}");
+        }
     }
 
     #[test]

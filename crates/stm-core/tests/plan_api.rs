@@ -1,167 +1,189 @@
-//! Integration tests for the compiled-plan API: `Stm::compile`,
-//! `Stm::run_plan`/`run_plan_in`, kernel selection, the typed
-//! duplicate-cell error, and the `StmOps` plan cache.
+//! API tests for `Stm::run_in`, the per-call-resolution hot path: it must
+//! reject every malformed spec exactly as the reference `Stm::run` does,
+//! and leave in the caller's scratch the same old values and stamps that
+//! `run` returns.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use stm_core::machine::host::HostMachine;
 use stm_core::ops::StmOps;
-use stm_core::stm::{Kernel, StmConfig, TxError, TxOptions, TxScratch, TxSpec};
+use stm_core::stm::{StmConfig, TxOptions, TxScratch, TxSpec};
 use stm_core::word::Word;
 
-fn setup(n_cells: usize) -> (StmOps, HostMachine) {
-    let ops = StmOps::new(0, n_cells, 1, 8, StmConfig::default());
+const N_CELLS: usize = 16;
+const MAX_LOCS: usize = 4;
+
+fn setup() -> (StmOps, HostMachine) {
+    let ops = StmOps::new(0, N_CELLS, 1, MAX_LOCS, StmConfig::default());
     let m = HostMachine::new(ops.stm().layout().words_needed(), 1);
     (ops, m)
 }
 
-#[test]
-fn duplicate_cells_compile_to_typed_error() {
-    let (ops, _m) = setup(16);
-    let spec = TxSpec::new(ops.builtins().read, &[], &[3, 5, 3]);
-    let err = ops.stm().compile(&spec).unwrap_err();
-    assert_eq!(err, TxError::DuplicateCell { cell: 3 });
-    // Display keeps the message the spec-validating panics use, so callers
-    // that match on text see the same words either way.
-    assert!(err.to_string().contains("duplicate cell 3"));
+/// The panic message of `f`, or `None` if it returned normally.
+fn panic_message(f: impl FnOnce()) -> Option<String> {
+    let payload = catch_unwind(AssertUnwindSafe(f)).err()?;
+    Some(
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default(),
+    )
 }
 
-#[test]
-fn duplicate_detection_is_order_insensitive() {
-    let (ops, _m) = setup(16);
-    for cells in [&[7usize, 7][..], &[1, 0, 1], &[2, 9, 4, 9]] {
-        let spec = TxSpec::new(ops.builtins().read, &[], cells);
-        assert!(
-            matches!(ops.stm().compile(&spec), Err(TxError::DuplicateCell { .. })),
-            "cells {cells:?} must be rejected"
-        );
-    }
-}
-
-#[test]
-fn kernel_selection_follows_data_set_size() {
-    let (ops, _m) = setup(16);
-    let read = ops.builtins().read;
-    let kernel_of = |cells: &[usize]| {
-        ops.stm().compile(&TxSpec::new(read, &[], cells)).unwrap().kernel()
+/// Run `spec` through both entry points on fresh instances and return the
+/// two panic messages.
+fn both_panics(
+    spec_of: impl Fn(&StmOps) -> (stm_core::program::OpCode, Vec<Word>, Vec<usize>),
+) -> (String, String) {
+    let run = {
+        let (ops, m) = setup();
+        let (op, params, cells) = spec_of(&ops);
+        let mut port = m.port(0);
+        panic_message(|| {
+            let _ = ops.stm().run(
+                &mut port,
+                &TxSpec::new(op, &params, &cells),
+                &mut TxOptions::new(),
+            );
+        })
     };
-    assert_eq!(kernel_of(&[0]), Kernel::K1);
-    assert_eq!(kernel_of(&[0, 9]), Kernel::K2);
-    assert_eq!(kernel_of(&[0, 1, 2]), Kernel::General);
-    assert_eq!(kernel_of(&[0, 5, 9, 12]), Kernel::K4);
-    assert_eq!(kernel_of(&[0, 1, 2, 3, 4]), Kernel::General);
+    let run_in = {
+        let (ops, m) = setup();
+        let (op, params, cells) = spec_of(&ops);
+        let mut port = m.port(0);
+        let mut scratch = TxScratch::new();
+        panic_message(|| {
+            let _ = ops.stm().run_in(
+                &mut port,
+                &TxSpec::new(op, &params, &cells),
+                &mut TxOptions::new(),
+                &mut scratch,
+            );
+        })
+    };
+    (
+        run.expect("run must reject the spec"),
+        run_in.expect("run_in must reject the spec"),
+    )
+}
+
+fn assert_same_panic(
+    expected: &str,
+    spec_of: impl Fn(&StmOps) -> (stm_core::program::OpCode, Vec<Word>, Vec<usize>),
+) {
+    let (run, run_in) = both_panics(spec_of);
+    assert!(
+        run.contains(expected),
+        "run panicked with {run:?}, expected {expected:?}"
+    );
+    assert_eq!(run_in, run, "run_in must panic exactly like run");
 }
 
 #[test]
-fn run_plan_matches_spec_run() {
-    // Same transaction through the interpreted entry point and a compiled
-    // plan: identical old values and final memory.
-    let (ops, m) = setup(16);
-    let mut port = m.port(0);
-    for c in 0..4 {
-        ops.swap(&mut port, c, 100 + c as u32);
+fn empty_data_set_panics_like_run() {
+    assert_same_panic("empty data set", |ops| {
+        (ops.builtins().read, vec![], vec![])
+    });
+}
+
+#[test]
+fn oversized_data_set_panics_like_run() {
+    assert_same_panic("data set of 5 exceeds max_locs 4", |ops| {
+        (ops.builtins().read, vec![], vec![0, 1, 2, 3, 4])
+    });
+}
+
+#[test]
+fn too_many_parameters_panic_like_run() {
+    assert_same_panic("too many parameter words", |ops| {
+        (ops.builtins().add, vec![1; 9], vec![0])
+    });
+}
+
+#[test]
+fn out_of_range_cell_panics_like_run() {
+    for cells in [vec![N_CELLS], vec![0, N_CELLS + 3], vec![5, 2, usize::MAX]] {
+        let bad = *cells.iter().find(|&&c| c >= N_CELLS).unwrap();
+        assert_same_panic(&format!("cell index {bad} out of range"), move |ops| {
+            (ops.builtins().read, vec![], cells.clone())
+        });
     }
-    let params: Vec<Word> = vec![5, 6];
-    let spec = TxSpec::new(ops.builtins().add, &params, &[1, 3]);
-
-    let interpreted = ops.stm().run(&mut port, &spec, &mut TxOptions::new()).unwrap();
-    assert_eq!(interpreted.old, vec![101, 103]);
-
-    let plan = ops.stm().compile(&spec).unwrap();
-    let planned = ops.stm().run_plan(&mut port, &plan, &mut TxOptions::new()).unwrap();
-    assert_eq!(planned.old, vec![106, 109]);
-    assert_eq!(ops.snapshot(&mut port, &[1, 3]), vec![111, 115]);
 }
 
 #[test]
-fn run_plan_in_leaves_old_values_in_scratch() {
-    let (ops, m) = setup(16);
-    let mut port = m.port(0);
-    ops.swap(&mut port, 2, 40);
-    let plan = ops
-        .stm()
-        .compile(&TxSpec::new(ops.builtins().add, &[], &[2]))
-        .unwrap();
+fn duplicate_cell_panics_like_run_in_any_order() {
+    for cells in [
+        vec![7, 7],
+        vec![1, 0, 1],
+        vec![2, 9, 4, 9],
+        vec![3, 5, 6, 3],
+        vec![8, 8, 1],
+    ] {
+        assert_same_panic("duplicate cell", move |ops| {
+            (ops.builtins().read, vec![], cells.clone())
+        });
+    }
+    let (run, _) = both_panics(|ops| (ops.builtins().read, vec![], vec![3, 5, 3]));
+    assert_eq!(run, "duplicate cell 3 in data set");
+}
+
+#[test]
+fn foreign_opcode_panics_like_run() {
+    // An opcode registered only in a larger table is out of range in ours.
+    let (other, foreign) =
+        StmOps::with_programs(0, N_CELLS, 1, MAX_LOCS, StmConfig::default(), |b| {
+            b.register("test.noop", |_: &[Word], old: &[u32], new: &mut [u32]| {
+                new.copy_from_slice(old)
+            })
+        });
+    drop(other);
+    assert_same_panic("opcode not registered", move |_| (foreign, vec![], vec![0]));
+}
+
+#[test]
+fn run_in_leaves_run_outcome_in_scratch() {
+    // The same transaction sequence through `run` on one machine and
+    // `run_in` on another: every commit's old values and stamps, and the
+    // final memory, agree. Data sets of 1..=4 cells cover every kernel.
+    let (ops_a, m_a) = setup();
+    let (ops_b, m_b) = setup();
+    let (mut pa, mut pb) = (m_a.port(0), m_b.port(0));
     let mut scratch = TxScratch::new();
-    // Plans carry no parameters of their own here; supply them per call.
-    let stats = ops
-        .stm()
-        .run_plan_in(&mut port, &plan, &[2], &mut TxOptions::new(), &mut scratch)
-        .unwrap();
-    assert_eq!(stats.attempts, 1);
-    assert_eq!(scratch.old(), &[40]);
-    assert_eq!(ops.snapshot(&mut port, &[2]), vec![42]);
-}
-
-#[test]
-fn plan_cache_hits_after_first_compile() {
-    let (ops, m) = setup(16);
-    let mut port = m.port(0);
-    assert_eq!(ops.plan_cache_stats().hits, 0);
-    for _ in 0..10 {
-        ops.fetch_add(&mut port, 4, 1);
-    }
-    let stats = ops.plan_cache_stats();
-    // fetch_add reuses one (op, cells) shape: one cold compile, then hits.
-    // (snapshot's read-only fast path does not touch the cache.)
-    assert_eq!(stats.misses, 1);
-    assert_eq!(stats.hits, 9);
-    assert!(stats.hit_rate() > 0.85);
-}
-
-#[test]
-fn plan_cache_returns_shared_plan() {
-    let (ops, _m) = setup(16);
-    let a = ops.plan_for(ops.builtins().add, &[1, 2]);
-    let b = ops.plan_for(ops.builtins().add, &[1, 2]);
-    assert!(std::sync::Arc::ptr_eq(&a, &b), "same shape must share one plan");
-    let c = ops.plan_for(ops.builtins().add, &[2, 1]);
-    assert!(!std::sync::Arc::ptr_eq(&a, &c), "cell order is part of the key");
-}
-
-#[test]
-fn plan_cache_evicts_beyond_capacity_and_recompiles() {
-    let (ops, _m) = setup(64);
-    let read = ops.builtins().read;
-    // 33 distinct single-cell shapes against a 32-entry cache, twice. The
-    // second sweep re-misses whatever fell off the tail but stays correct.
-    for round in 0..2 {
-        for c in 0..33usize {
-            let plan = ops.plan_for(read, &[c]);
-            assert_eq!(plan.cells(), &[c], "round {round}");
+    let add = ops_a.builtins().add;
+    let shapes: [&[usize]; 6] = [&[3], &[9, 1], &[4, 0, 12], &[15, 2, 7, 5], &[1, 9], &[5, 3]];
+    for round in 0..3u64 {
+        for (i, cells) in shapes.iter().enumerate() {
+            let params: Vec<Word> = (0..cells.len())
+                .map(|j| round * 10 + (i + j) as Word)
+                .collect();
+            let spec = TxSpec::new(add, &params, cells);
+            let out = ops_a
+                .stm()
+                .run(&mut pa, &spec, &mut TxOptions::new())
+                .unwrap();
+            let stats = ops_b
+                .stm()
+                .run_in(&mut pb, &spec, &mut TxOptions::new(), &mut scratch)
+                .unwrap();
+            assert_eq!(
+                scratch.old(),
+                &out.old[..],
+                "round {round}, cells {cells:?}"
+            );
+            assert_eq!(
+                scratch.old_stamps(),
+                &out.old_stamps[..],
+                "round {round}, cells {cells:?}"
+            );
+            assert_eq!(stats, out.stats);
         }
     }
-    let stats = ops.plan_cache_stats();
-    assert_eq!(stats.hits + stats.misses, 66);
-    assert!(stats.misses > 33, "a full cache must evict and recompile");
-}
-
-#[test]
-fn clones_start_with_empty_caches() {
-    let (ops, m) = setup(16);
-    let mut port = m.port(0);
-    ops.fetch_add(&mut port, 0, 1);
-    let clone = ops.clone();
-    assert_eq!(clone.plan_cache_stats(), Default::default());
-    // And the clone still executes correctly through its own cache.
-    assert_eq!(clone.fetch_add(&mut port, 0, 1), 1);
-}
-
-#[test]
-#[should_panic(expected = "duplicate cell")]
-fn run_planned_panics_on_duplicates_like_run() {
-    let (ops, m) = setup(16);
-    let mut port = m.port(0);
-    ops.run_planned(&mut port, ops.builtins().read, &[], &[6, 6], |_| ());
-}
-
-#[test]
-#[should_panic(expected = "plan compiled against a different STM layout")]
-fn foreign_plan_is_rejected() {
-    let (ops, m) = setup(16);
-    let other = StmOps::new(0, 8, 1, 8, StmConfig::default());
-    let plan = other
-        .stm()
-        .compile(&TxSpec::new(other.builtins().read, &[], &[0]))
-        .unwrap();
-    let mut port = m.port(0);
-    let _ = ops.stm().run_plan(&mut port, &plan, &mut TxOptions::new());
+    let all: Vec<usize> = (0..N_CELLS).collect();
+    for chunk in all.chunks(MAX_LOCS) {
+        assert_eq!(
+            ops_a.snapshot(&mut pa, chunk),
+            ops_b.snapshot(&mut pb, chunk)
+        );
+    }
 }

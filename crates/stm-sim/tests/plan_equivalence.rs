@@ -1,12 +1,12 @@
-//! Property test: compiled-plan execution is *trace-equivalent* to the
-//! interpreted spec path under deterministic simulation.
+//! Property test: the `run_planned`/`run_in` hot path is *trace-equivalent*
+//! to the general-sweep reference `Stm::run` under deterministic simulation.
 //!
 //! The small-k MWCAS kernels (`Kernel::K1/K2/K4`) are monomorphized copies
 //! of the general sweep built from the same per-cell primitives, so they
 //! must issue the **identical sequence** of simulated memory operations and
 //! protocol step announcements — same addresses, same order, same cycle
-//! costs — as `Stm::run` does for the same workload. This pins the PR's
-//! hard constraint: switching the hot paths onto compiled plans cannot
+//! costs — as `Stm::run` does for the same workload. This pins the hard
+//! constraint on the hot path: running it on the small-k kernels cannot
 //! perturb a single simulated schedule.
 
 use proptest::prelude::*;
@@ -31,8 +31,8 @@ fn decode(mask: u8, delta: u32) -> (Vec<usize>, Vec<Word>) {
 }
 
 /// Run the generated workload with every processor executing the whole
-/// transaction list; `planned` selects compiled-plan or interpreted
-/// execution.
+/// transaction list; `planned` selects the `run_planned` hot path or the
+/// `Stm::run` reference.
 fn run_workload(txs: &[(u8, u32)], seed: u64, jitter: u64, mesh: bool, planned: bool) -> SimReport {
     let sim = StmSim::new(N_PROCS, N_CELLS, 8, StmConfig::default())
         .seed(seed)
@@ -68,17 +68,17 @@ fn assert_equivalent(txs: &[(u8, u32)], seed: u64, jitter: u64, mesh: bool) {
     assert_eq!(planned.trace_dropped, 0, "trace overflow invalidates the comparison");
     assert_eq!(
         interpreted.cycles, planned.cycles,
-        "compiled plans must not change simulated time (mesh={mesh})"
+        "the hot path must not change simulated time (mesh={mesh})"
     );
     assert_eq!(
         interpreted.memory, planned.memory,
-        "compiled plans must not change final memory (mesh={mesh})"
+        "the hot path must not change final memory (mesh={mesh})"
     );
     // The strongest form: every memory operation, delay, and protocol step,
     // at the same virtual time, from the same processor.
     assert_eq!(
         interpreted.trace, planned.trace,
-        "compiled plans must replay the interpreted step trace exactly (mesh={mesh})"
+        "the hot path must replay the reference step trace exactly (mesh={mesh})"
     );
 }
 

@@ -33,8 +33,8 @@
 //! keyed inside the linking transaction), so observing `key_cell == key`
 //! transactionally proves the entry is *currently linked* in `key`'s
 //! bucket — and updating the unique live entry for a key is linearizable
-//! no matter how the chain moved around it. Updates therefore commit on a
-//! 2-cell plan, the hot path under skewed workloads.
+//! no matter how the chain moved around it. Updates therefore commit as a
+//! 2-cell static transaction, the hot path under skewed workloads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,7 +62,8 @@ pub const TOMB_KEY: u32 = u32::MAX;
 const HASH_MUL: u32 = 0x9E37_79B9;
 
 /// A lock-free chained hash map of `u32 → u32` built on [`CellArena`] spans
-/// and cached-plan static transactions.
+/// and static transactions resolved per call
+/// ([`StmOps::run_planned`](stm_core::ops::StmOps::run_planned)).
 ///
 /// Cloneable handle: clones share the buckets, the arena, and the length
 /// counter. Each operation takes the caller's [`MemPort`], so the same map
@@ -254,7 +255,7 @@ impl StmHashMap {
     /// Insert or update `key ↦ value`; returns the previous value if the
     /// key was present.
     ///
-    /// Updates commit on a cached 2-cell plan; new entries take a 3-cell
+    /// Updates commit as a 2-cell transaction; new entries take a 3-cell
     /// span from the arena *outside* the transaction and link it at the
     /// bucket head under the frozen-bucket validation. A span allocated
     /// for a key that turned out to exist is returned to the arena.

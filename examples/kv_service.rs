@@ -7,8 +7,8 @@
 //! segment-append growth keeps every cell address stable, per-shard free
 //! lists recycle spans, and the frozen-bucket validation scheme makes
 //! stale traversals into recycled spans provably fail. Traffic is Zipfian
-//! get/put/delete with compiled-plan hot ops (value updates commit on a
-//! cached 2-cell plan).
+//! get/put/delete on allocation-free static transactions (value updates
+//! commit as 2-cell transactions).
 //!
 //! ```text
 //! cargo run --release --example kv_service -- [OPTIONS]

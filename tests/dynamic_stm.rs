@@ -157,3 +157,61 @@ fn dynamic_and_static_transactions_interoperate_on_host() {
     assert_eq!(d.read_cell(&mut port, 0), PROCS as u32 * PER);
     assert_eq!(d.read_cell(&mut port, 1), PROCS as u32 * PER);
 }
+
+#[test]
+fn wide_read_only_body_commits_through_the_acquiring_path() {
+    // With the fast path disabled, a read-only body always commits through
+    // the acquiring protocol. Its 16-cell footprint is twice the parameter
+    // words a transaction may carry, so the commit must not need one per
+    // cell. Meanwhile a writer moves value between the same cells: every
+    // committed audit must see the conserved total.
+    const CELLS: usize = 16;
+    const TRANSFERS: u32 = 2_000;
+    let config = StmConfig { fast_read_rounds: 0, ..StmConfig::default() };
+    let d = DynamicStm::new(0, CELLS, 2, config);
+    let m = HostMachine::new(d.stm().layout().words_needed(), 2);
+    {
+        let mut port = m.port(0);
+        for c in 0..CELLS {
+            d.init_cell(&mut port, c, 100);
+        }
+    }
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut port = m.port(1);
+            for i in 0..TRANSFERS {
+                let (from, to) = (i as usize % CELLS, (i as usize * 7 + 3) % CELLS);
+                if from != to {
+                    d.run(
+                        &mut port,
+                        |tx| {
+                            let (a, b) = (tx.read(from), tx.read(to));
+                            if a > 0 {
+                                tx.write(from, a - 1);
+                                tx.write(to, b + 1);
+                            }
+                        },
+                        &mut TxOptions::new(),
+                    )
+                    .unwrap();
+                }
+            }
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+        });
+        let mut port = m.port(0);
+        let mut audits = 0u32;
+        while audits < 50 || !done.load(std::sync::atomic::Ordering::SeqCst) {
+            let audit = |tx: &mut stm_core::dynamic::DynamicTx<'_, _>| {
+                (0..CELLS).map(|c| tx.read(c)).sum::<u32>()
+            };
+            let (total, stats) = d.run(&mut port, audit, &mut TxOptions::new()).unwrap();
+            assert_eq!(total, 100 * CELLS as u32, "audit {audits} saw a torn total");
+            assert!(stats.attempts >= 1);
+            audits += 1;
+        }
+    });
+    let mut port = m.port(0);
+    let total: u32 = (0..CELLS).map(|c| d.read_cell(&mut port, c)).sum();
+    assert_eq!(total, 100 * CELLS as u32);
+}
