@@ -392,8 +392,8 @@ impl DurableMem {
 /// configured flush cost to the port's local clock (modeling fsync latency —
 /// a crash during that window loses the pending bytes, exactly like power
 /// failing mid-fsync) and then publishes the buffer to the shared
-/// [`DurableMem`]. Publication happens while the flushing processor holds
-/// the simulator's lockstep grant, so the durable byte order is a
+/// [`DurableMem`]. Publication happens while the flushing processor is the
+/// one the simulator is running, so the durable byte order is a
 /// deterministic function of the schedule.
 #[derive(Debug)]
 pub struct MemJournal {

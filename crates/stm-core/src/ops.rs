@@ -51,10 +51,27 @@ pub struct PlanCacheStats {
 }
 
 thread_local! {
-    /// Per-thread execution arena for [`StmOps::run_planned`]: one warm
-    /// scratch per OS thread means the built-in hot ops run allocation-free
-    /// no matter how many `StmOps` handles the thread touches.
-    static OPS_SCRATCH: RefCell<TxScratch> = RefCell::new(TxScratch::new());
+    /// Per-thread pool of execution arenas for [`StmOps::run_planned`]. A
+    /// call takes a scratch out for its whole run and puts it back after,
+    /// so no borrow of the pool is held across a [`MemPort`] call: a port
+    /// may re-enter `run_planned` (simulated processors share one host
+    /// thread), and each concurrent run gets its own scratch. Once the pool
+    /// holds a warm scratch per concurrent run, the built-in hot ops run
+    /// allocation-free no matter how many `StmOps` handles the thread
+    /// touches.
+    // Boxed, so taking a scratch out moves a pointer, not the scratch.
+    #[allow(clippy::vec_box)]
+    static OPS_SCRATCH: RefCell<Vec<Box<TxScratch>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on a scratch taken from the thread's pool.
+fn with_scratch<R>(f: impl FnOnce(&mut TxScratch) -> R) -> R {
+    let mut scratch = OPS_SCRATCH
+        .with(|pool| pool.borrow_mut().pop())
+        .unwrap_or_default();
+    let out = f(&mut scratch);
+    OPS_SCRATCH.with(|pool| pool.borrow_mut().push(scratch));
+    out
 }
 
 /// An [`Stm`] instance together with the built-in operation programs.
@@ -148,12 +165,12 @@ impl StmOps {
     }
 
     /// Run `(op, params, cells)` with default options (unlimited budget —
-    /// retries until commit) on the thread-local scratch via
+    /// retries until commit) on a scratch from the thread's pool via
     /// [`Stm::run_in`], handing the committed old values to `read_out`
-    /// while the scratch borrow is live.
+    /// while the scratch is still held.
     ///
     /// This is the allocation-free hot path for registered programs: the
-    /// data set is resolved into the per-thread [`TxScratch`] on each call,
+    /// data set is resolved into a pooled per-thread [`TxScratch`] on each call,
     /// so a call on a warm thread performs zero heap allocations whether or
     /// not its data set was seen before. The built-in derived ops
     /// ([`StmOps::fetch_add`], [`StmOps::swap`], [`StmOps::mwcas`], …) and
@@ -173,11 +190,10 @@ impl StmOps {
         cells: &[CellIdx],
         read_out: impl FnOnce(&[u32]) -> R,
     ) -> R {
-        OPS_SCRATCH.with(|s| {
-            let mut scratch = s.borrow_mut();
+        with_scratch(|scratch| {
             let _stats = self
                 .stm
-                .run_in(port, &TxSpec::new(op, params, cells), &mut TxOptions::new(), &mut scratch)
+                .run_in(port, &TxSpec::new(op, params, cells), &mut TxOptions::new(), scratch)
                 .expect("unlimited budget cannot be exhausted and builtins do not panic");
             read_out(scratch.old())
         })
@@ -236,7 +252,7 @@ impl StmOps {
     /// front so both paths accept exactly the same inputs.
     pub fn snapshot<P: MemPort>(&self, port: &mut P, cells: &[CellIdx]) -> Vec<u32> {
         let spec = TxSpec::new(self.ops.read, &[], cells);
-        OPS_SCRATCH.with(|s| self.stm.resolve(port, &spec, &mut s.borrow_mut().view));
+        with_scratch(|s| self.stm.resolve(port, &spec, &mut s.view));
         if let Some(out) = self.stm.try_read_only(port, cells) {
             return out.old;
         }
@@ -376,5 +392,54 @@ mod tests {
         let (ops, m) = setup(1);
         let mut port = m.port(0);
         let _ = ops.fetch_add_many(&mut port, &[1, 2], &[1]);
+    }
+
+    /// A port whose every read first runs a whole `fetch_add` on a second
+    /// instance through the inner port — the shape of two simulated
+    /// processors interleaving on one host thread.
+    struct ReentrantPort<'a, P: MemPort> {
+        inner: P,
+        other: &'a StmOps,
+        nested: u32,
+    }
+
+    impl<P: MemPort> MemPort for ReentrantPort<'_, P> {
+        fn proc_id(&self) -> usize {
+            self.inner.proc_id()
+        }
+        fn n_procs(&self) -> usize {
+            self.inner.n_procs()
+        }
+        fn read(&mut self, addr: Addr) -> Word {
+            self.other.fetch_add(&mut self.inner, 0, 1);
+            self.nested += 1;
+            self.inner.read(addr)
+        }
+        fn write(&mut self, addr: Addr, value: Word) {
+            self.inner.write(addr, value)
+        }
+        fn compare_exchange(&mut self, addr: Addr, expected: Word, new: Word) -> Result<(), Word> {
+            self.inner.compare_exchange(addr, expected, new)
+        }
+        fn delay(&mut self, cycles: u64) {
+            self.inner.delay(cycles)
+        }
+    }
+
+    #[test]
+    fn run_planned_reenters_through_its_own_port() {
+        let outer = StmOps::new(0, 8, 1, 8, StmConfig::default());
+        let base = outer.stm().layout().words_needed();
+        let inner = StmOps::new(base, 8, 1, 8, StmConfig::default());
+        let m = HostMachine::new(base + inner.stm().layout().words_needed(), 1);
+        let mut port = ReentrantPort { inner: m.port(0), other: &inner, nested: 0 };
+        for i in 0..10 {
+            assert_eq!(outer.fetch_add(&mut port, 3, 2), 2 * i);
+            let _ = outer.mwcas(&mut port, &[(1, 0, 0), (2, 0, 0)]);
+        }
+        assert!(port.nested > 0);
+        let mut host = m.port(0);
+        assert_eq!(outer.snapshot(&mut host, &[3]), vec![20]);
+        assert_eq!(inner.snapshot(&mut host, &[0]), vec![port.nested]);
     }
 }

@@ -1,27 +1,48 @@
-//! The lockstep discrete-event simulation engine.
+//! The discrete-event simulation engine.
 //!
-//! Each simulated processor is a host thread that runs its workload closure
-//! against a [`SimPort`] (an implementation of
-//! [`stm_core::machine::MemPort`]). Exactly **one** processor
-//! executes at any wall-clock instant: when a processor issues a memory
-//! operation, the architecture [`CostModel`] assigns
-//! it a completion time on the virtual clock, the processor parks, and the
-//! engine grants the globally earliest pending operation. The effect of each
-//! operation is applied atomically at its completion time, so the simulated
-//! execution is a deterministic (seed-controlled) interleaving — the same
-//! property the paper relied on Proteus for, plus exact reproducibility.
+//! Every simulated processor runs its workload closure against a
+//! [`SimPort`] (an implementation of [`stm_core::machine::MemPort`]) as a
+//! stackful coroutine on the thread that called [`Simulation::run`].
+//! Exactly **one** processor executes at a time: when a processor issues a
+//! memory operation, the architecture [`CostModel`] assigns it a completion
+//! time on the virtual clock, the processor queues that completion event
+//! and switches back to the engine, and the engine resumes whichever
+//! processor owns the globally earliest pending event. The effect of each
+//! operation is applied atomically at its completion time, so the
+//! simulated execution is a deterministic (seed-controlled) interleaving —
+//! the same property the paper relied on Proteus for, plus exact
+//! reproducibility.
 //!
 //! Determinism: given the same configuration, seed, model, and workload, the
 //! grant order, all memory contents, and all timings are identical on every
 //! run. The seed perturbs completion times by a small jitter, which is how
 //! the schedule-exploration tests enumerate distinct interleavings.
+//!
+//! # Processors as coroutines
+//!
+//! * Each processor gets a 2 MiB stack — a spawned std thread's default —
+//!   with a `PROT_NONE` guard page below it. Pages are committed when first
+//!   touched, and a finished run leaves its stacks to the next run on the
+//!   same host thread. A body that overflows its stack hits the guard page
+//!   and the process dies with `SIGSEGV`.
+//! * A context switch saves the callee-saved registers and the stack
+//!   pointer in a few lines of x86_64 assembly, so the crate builds only
+//!   for x86_64 Linux; other targets stop at a `compile_error!`.
+//! * Scripted crashes, structured halts, and genuine workload panics all
+//!   unwind on the processor's own stack and are caught at its entry.
+//!   After a halt every suspended processor is resumed once, so it unwinds
+//!   and runs its destructors; the first genuine panic (lowest processor
+//!   index) is then re-raised on the caller's stack.
+//! * Processors share the host thread's thread-locals. Code that keeps a
+//!   thread-local borrowed across a [`MemPort`] call is re-entered by the
+//!   next processor the engine resumes.
 
+use std::cell::{Cell, UnsafeCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::{Condvar, Mutex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use stm_core::machine::MemPort;
@@ -29,6 +50,7 @@ use stm_core::step::StepPoint;
 use stm_core::word::{Addr, Word};
 
 use crate::arch::{CostModel, OpKind};
+use crate::coroutine::{Context, Stack};
 use crate::faults::{CrashSignal, FaultKind, FaultPlan, ProcFaults};
 use crate::stats::SimStats;
 
@@ -39,7 +61,7 @@ pub(crate) struct HaltSignal;
 thread_local! {
     /// Set immediately before a *planned* unwind (scripted crash or
     /// structured halt) so the panic hook stays silent for it.
-    static PLANNED_UNWIND: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static PLANNED_UNWIND: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Unwind the current simulated processor with a planned payload
@@ -216,9 +238,6 @@ struct SimState {
     model: Box<dyn CostModel>,
     /// Pending operations: earliest (time, issue-seq, proc) first.
     queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    /// Which processor is currently granted/executing user code.
-    running: Option<usize>,
-    granted: Vec<bool>,
     /// Per-proc park state: `Some((t_parked, watches))` while the proc sits
     /// in [`SimPort::wait_on`] with **no** pending queue event — a parked
     /// processor consumes zero scheduler steps until a notify re-queues it.
@@ -255,81 +274,131 @@ impl SimState {
             self.trace_dropped += 1;
         }
     }
-}
 
-struct Shared {
-    state: Mutex<SimState>,
-    proc_cvs: Vec<Condvar>,
-    main_cv: Condvar,
-    max_cycles: u64,
-    n_words: usize,
-}
+    /// Queue an event for `proc` at time `t`.
+    fn push(&mut self, t: u64, proc: usize) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Reverse((t, seq, proc)));
+    }
 
-impl Shared {
-    /// Grant the earliest pending operation, if no processor is executing.
-    /// Must be called with the state lock held.
-    fn schedule_next(&self, st: &mut SimState) {
-        if st.running.is_some() {
-            return;
+    /// Unwind the calling processor if the run is over.
+    fn check_live(&self) {
+        if self.poisoned {
+            panic!("simulation poisoned by a failing co-processor");
         }
-        if st.poisoned || st.halted {
-            // Wake everyone so they can observe the poison/halt and unwind.
-            for cv in &self.proc_cvs {
-                cv.notify_all();
-            }
-            self.main_cv.notify_all();
-            return;
+        if self.halted {
+            planned_unwind(HaltSignal);
         }
-        if let Some(&Reverse((t, _, p))) = st.queue.peek() {
-            st.queue.pop();
-            st.clock = st.clock.max(t);
-            st.granted[p] = true;
-            st.running = Some(p);
-            self.proc_cvs[p].notify_one();
-        } else if st.finished == st.n_procs {
-            self.main_cv.notify_all();
-        } else if st.parked_count > 0 && st.finished + st.parked_count == st.n_procs {
+    }
+
+    /// Watchdog trip: record a structured violation, halt every processor,
+    /// and unwind the calling one.
+    fn trip_watchdog(&mut self, proc: usize, at: u64, limit: u64) -> ! {
+        self.halted = true;
+        if self.violation.is_none() {
+            self.violation = Some(Violation::Watchdog { proc, at, limit });
+        }
+        planned_unwind(HaltSignal);
+    }
+
+    /// The processor to resume next: the owner of the earliest pending
+    /// event. `None` once the run is over — every processor finished, the
+    /// run halted, or the engine is poisoned.
+    fn next_grant(&mut self) -> Option<usize> {
+        if self.poisoned || self.halted {
+            return None;
+        }
+        if let Some(Reverse((t, _, p))) = self.queue.pop() {
+            self.clock = self.clock.max(t);
+            return Some(p);
+        }
+        if self.finished == self.n_procs {
+            return None;
+        }
+        if self.parked_count > 0 && self.finished + self.parked_count == self.n_procs {
             // Every live processor is parked on a retry watch and no event
             // remains to change memory: a genuine blocking deadlock. Halt
             // structurally (the report carries the violation) instead of
             // poisoning — this is a workload property, not an engine bug.
-            st.halted = true;
-            if st.violation.is_none() {
-                let parked: Vec<usize> = st
+            self.halted = true;
+            if self.violation.is_none() {
+                let parked: Vec<usize> = self
                     .parked
                     .iter()
                     .enumerate()
                     .filter_map(|(p, e)| e.as_ref().map(|_| p))
                     .collect();
-                st.violation = Some(Violation::RetryDeadlock { parked, at: st.clock });
+                self.violation = Some(Violation::RetryDeadlock { parked, at: self.clock });
             }
-            for cv in &self.proc_cvs {
-                cv.notify_all();
-            }
-            self.main_cv.notify_all();
         } else {
-            // Every live processor must be running, queued, or done; an empty
-            // queue with nobody running means the engine lost a wakeup.
-            st.poisoned = true;
-            for cv in &self.proc_cvs {
-                cv.notify_all();
-            }
-            self.main_cv.notify_all();
+            // Every live processor must be queued, parked, or done; an empty
+            // queue with a live processor unaccounted for means the engine
+            // lost a wakeup.
+            self.poisoned = true;
         }
+        None
+    }
+}
+
+/// How a processor's workload ended: normally, or with a panic payload.
+type Outcome = Result<(), Box<dyn std::any::Any + Send>>;
+
+/// What the engine loop and the processors' ports share. Everything runs on
+/// one host thread, one context at a time, and no reference into `state`
+/// is held across a context switch.
+struct Shared {
+    state: UnsafeCell<SimState>,
+    /// The engine loop's context while a processor runs.
+    engine: Context,
+    /// Each processor's context while it is suspended.
+    procs: Vec<Context>,
+    /// The processor running now (`usize::MAX` while the engine runs).
+    current: Cell<usize>,
+    /// How the processor that just finished ended, for the engine to collect.
+    exit: Cell<Option<Outcome>>,
+    max_cycles: u64,
+    n_words: usize,
+}
+
+impl Shared {
+    /// Run `f` on the engine state. `f` must not switch contexts or
+    /// re-enter `with_state`.
+    fn with_state<R>(&self, f: impl FnOnce(&mut SimState) -> R) -> R {
+        // SAFETY: one host thread runs one context at a time, and the only
+        // reference into `state` is `f`'s, which ends before any switch.
+        f(unsafe { &mut *self.state.get() })
+    }
+
+    /// Run processor `p` until it suspends or finishes; returns how it
+    /// ended if it finished.
+    fn resume(&self, p: usize) -> Option<Outcome> {
+        self.current.set(p);
+        // SAFETY: the engine loop is the running context, and `p` is
+        // suspended: `run` resumes only unfinished processors, whose
+        // stacks live until it returns.
+        unsafe { self.engine.switch(&self.procs[p]) };
+        self.current.set(usize::MAX);
+        let outcome = self.exit.take();
+        if outcome.is_some() {
+            self.with_state(|st| st.finished += 1);
+        }
+        outcome
     }
 }
 
 /// A simulated processor's port into the shared memory.
 ///
 /// Implements [`MemPort`]; obtained only inside
-/// [`Simulation::run`] workload closures.
+/// [`Simulation::run`] workload closures. A port belongs to its processor's
+/// coroutine: it is not `Send`, and an operation that would suspend it
+/// anywhere else panics.
 pub struct SimPort {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     proc: usize,
     n_procs: usize,
     t_local: u64,
     jitter: u64,
-    done: bool,
     faults: ProcFaults,
     /// Slow-down multiplier from a delivered [`FaultKind::SlowBy`] (1 = normal).
     slow_mult: u64,
@@ -348,79 +417,41 @@ impl std::fmt::Debug for SimPort {
 }
 
 impl SimPort {
-    /// Block until this processor's pending event (queued at `t_complete`)
-    /// is granted, then run `apply` on the shared state at that instant.
-    fn complete<R>(&mut self, t_complete: u64, apply: impl FnOnce(&mut SimState) -> R) -> R {
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
-        loop {
-            if st.poisoned {
-                drop(st);
-                panic!("simulation poisoned by a failing co-processor");
-            }
-            if st.halted {
-                drop(st);
-                planned_unwind(HaltSignal);
-            }
-            if st.granted[self.proc] {
-                break;
-            }
-            shared.proc_cvs[self.proc].wait(&mut st);
-        }
-        st.granted[self.proc] = false;
-        debug_assert_eq!(st.running, Some(self.proc));
-        self.t_local = t_complete;
-        apply(&mut st)
+    /// Switch back to the engine until it resumes this processor, then
+    /// unwind if the run ended meanwhile.
+    fn suspend(&self) {
+        let shared = &*self.shared;
+        assert_eq!(shared.current.get(), self.proc, "SimPort used outside its own simulated processor");
+        // SAFETY: this processor is the running context (checked above) and
+        // the engine loop is suspended in `Shared::resume`.
+        unsafe { shared.procs[self.proc].switch(&shared.engine) };
+        shared.with_state(|st| st.check_live());
     }
 
-    /// Issue a memory operation: charge it via the cost model, park until it
-    /// is globally next, apply its effect.
+    /// Issue a memory operation: charge it via the cost model, suspend until
+    /// it is globally next, apply its effect.
     fn mem_op<R>(&mut self, kind: OpKind, addr: Addr, apply: impl FnOnce(&mut SimState) -> R) -> R {
         assert!(addr < self.shared.n_words, "address {addr} out of simulated memory");
         self.check_cycle_faults();
-        let shared = Arc::clone(&self.shared);
-        let t_complete;
-        {
-            let mut st = shared.state.lock();
-            if st.halted {
-                drop(st);
-                planned_unwind(HaltSignal);
+        let (p, t_local, slow_mult, jitter) = (self.proc, self.t_local, self.slow_mult, self.jitter);
+        let limit = self.shared.max_cycles;
+        let t_complete = self.shared.with_state(|st| {
+            st.check_live();
+            let base = st.model.access(t_local, p, kind, addr);
+            let duration = base.saturating_sub(t_local) * slow_mult;
+            let jitter = if jitter > 0 { st.rng.gen_range(0..=jitter) } else { 0 };
+            let t_complete = t_local + duration + jitter;
+            if t_complete > limit {
+                st.trip_watchdog(p, t_complete, limit);
             }
-            let base = st.model.access(self.t_local, self.proc, kind, addr);
-            let duration = base.saturating_sub(self.t_local) * self.slow_mult;
-            let jitter = if self.jitter > 0 { st.rng.gen_range(0..=self.jitter) } else { 0 };
-            t_complete = self.t_local + duration + jitter;
-            if t_complete > shared.max_cycles {
-                self.trip_watchdog(&shared, st, t_complete);
-            }
-            st.stats.record(self.proc, kind);
-            st.record_trace(t_complete, self.proc, crate::trace::TraceKind::Mem(kind, addr));
-            let seq = st.seq;
-            st.seq += 1;
-            st.queue.push(Reverse((t_complete, seq, self.proc)));
-            st.running = None;
-            shared.schedule_next(&mut st);
-        }
-        self.complete(t_complete, apply)
-    }
-
-    /// Watchdog trip: record a structured violation, halt every processor,
-    /// and unwind this one. Never returns.
-    fn trip_watchdog(
-        &self,
-        shared: &Arc<Shared>,
-        mut st: parking_lot::MutexGuard<'_, SimState>,
-        at: u64,
-    ) -> ! {
-        st.halted = true;
-        if st.violation.is_none() {
-            st.violation =
-                Some(Violation::Watchdog { proc: self.proc, at, limit: shared.max_cycles });
-        }
-        st.running = None;
-        shared.schedule_next(&mut st);
-        drop(st);
-        planned_unwind(HaltSignal);
+            st.stats.record(p, kind);
+            st.record_trace(t_complete, p, crate::trace::TraceKind::Mem(kind, addr));
+            st.push(t_complete, p);
+            t_complete
+        });
+        self.suspend();
+        self.t_local = t_complete;
+        self.shared.with_state(apply)
     }
 
     /// Evaluate (and deliver) any cycle-triggered fault due at local time.
@@ -436,47 +467,36 @@ impl SimPort {
     /// Deliver one fired fault. May panic (crash) or advance time (stall).
     fn deliver(&mut self, kind: FaultKind) {
         self.in_fault = true;
+        let (p, t) = (self.proc, self.t_local);
         match kind {
             FaultKind::Crash => {
-                let shared = Arc::clone(&self.shared);
-                {
-                    let mut st = shared.state.lock();
-                    st.crashed.push(self.proc);
-                    st.record_trace(self.t_local, self.proc, crate::trace::TraceKind::FaultCrash);
-                }
-                // Unwind the workload closure; SimPort::drop marks this
-                // processor finished and reschedules, exactly as an early
-                // return ("crash") does.
-                planned_unwind(CrashSignal { proc: self.proc });
+                self.shared.with_state(|st| {
+                    st.crashed.push(p);
+                    st.record_trace(t, p, crate::trace::TraceKind::FaultCrash);
+                });
+                // Unwind the workload closure; this processor finishes
+                // exactly as an early return ("crash") does.
+                planned_unwind(CrashSignal { proc: p });
             }
             FaultKind::Stall { cycles } => {
-                {
-                    let mut st = self.shared.state.lock();
-                    let t = self.t_local;
-                    let p = self.proc;
-                    st.record_trace(t, p, crate::trace::TraceKind::FaultStall(cycles));
-                }
+                self.shared.with_state(|st| st.record_trace(t, p, crate::trace::TraceKind::FaultStall(cycles)));
                 self.delay(cycles);
             }
             FaultKind::SlowBy { factor } => {
-                let mut st = self.shared.state.lock();
-                let t = self.t_local;
-                let p = self.proc;
-                st.record_trace(t, p, crate::trace::TraceKind::FaultSlow(factor));
+                self.shared.with_state(|st| st.record_trace(t, p, crate::trace::TraceKind::FaultSlow(factor)));
                 self.slow_mult = self.slow_mult.saturating_mul(factor.max(1));
             }
         }
         self.in_fault = false;
     }
 
-    fn with(shared: Arc<Shared>, proc: usize, n_procs: usize, jitter: u64, faults: ProcFaults) -> Self {
+    fn with(shared: Rc<Shared>, proc: usize, n_procs: usize, jitter: u64, faults: ProcFaults) -> Self {
         SimPort {
             shared,
             proc,
             n_procs,
             t_local: 0,
             jitter,
-            done: false,
             faults,
             slow_mult: 1,
             in_fault: false,
@@ -514,29 +534,20 @@ impl MemPort for SimPort {
     }
 
     fn delay(&mut self, cycles: u64) {
-        // Purely local time: park until the virtual clock reaches it, with no
-        // memory traffic and no contention effects.
+        // Purely local time: suspend until the virtual clock reaches it, with
+        // no memory traffic and no contention effects.
         let cycles = cycles.saturating_mul(self.slow_mult);
-        let shared = Arc::clone(&self.shared);
-        let t_complete;
-        {
-            let mut st = shared.state.lock();
-            if st.halted {
-                drop(st);
-                planned_unwind(HaltSignal);
+        let (p, t_complete, limit) = (self.proc, self.t_local + cycles, self.shared.max_cycles);
+        self.shared.with_state(|st| {
+            st.check_live();
+            if t_complete > limit {
+                st.trip_watchdog(p, t_complete, limit);
             }
-            t_complete = self.t_local + cycles;
-            if t_complete > shared.max_cycles {
-                self.trip_watchdog(&shared, st, t_complete);
-            }
-            st.record_trace(t_complete, self.proc, crate::trace::TraceKind::Delay(cycles));
-            let seq = st.seq;
-            st.seq += 1;
-            st.queue.push(Reverse((t_complete, seq, self.proc)));
-            st.running = None;
-            shared.schedule_next(&mut st);
-        }
-        self.complete(t_complete, |_| ());
+            st.record_trace(t_complete, p, crate::trace::TraceKind::Delay(cycles));
+            st.push(t_complete, p);
+        });
+        self.suspend();
+        self.t_local = t_complete;
     }
 
     fn now(&self) -> u64 {
@@ -547,105 +558,74 @@ impl MemPort for SimPort {
         // The cap is a wall-clock concern; on the simulator a park either
         // ends with a wakeup or the run ends structurally (deadlock
         // violation / watchdog), so it is ignored here.
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
-        if st.poisoned {
-            drop(st);
-            panic!("simulation poisoned by a failing co-processor");
-        }
-        if st.halted {
-            drop(st);
-            planned_unwind(HaltSignal);
-        }
-        // Registration and revalidation are one atomic step under the engine
-        // lock (the sim analogue of the host's register-then-revalidate, see
-        // docs/protocol.md §14): a writer that already changed a watched
-        // word cannot have its notify lost, because we observe the change
-        // right here and decline to park.
-        if watches.iter().any(|&(a, w)| st.mem[a] != w) {
-            return;
-        }
-        let t = self.t_local;
-        st.record_trace(t, self.proc, crate::trace::TraceKind::Park(watches.len()));
-        st.parked[self.proc] = Some((t, watches.to_vec()));
-        st.parked_count += 1;
-        st.running = None;
-        shared.schedule_next(&mut st);
-        // Unlike `complete`, a parked processor has NO pending queue event:
-        // it takes zero scheduler steps until a committing writer's notify
-        // re-queues it (that is the acceptance criterion the blocking tests
-        // pin). The wakeup time is whatever the notifier assigned.
-        loop {
-            if st.poisoned {
-                drop(st);
-                panic!("simulation poisoned by a failing co-processor");
+        let (p, t) = (self.proc, self.t_local);
+        let parked = self.shared.with_state(|st| {
+            st.check_live();
+            // Registration and revalidation are one atomic step of the
+            // engine (the sim analogue of the host's register-then-
+            // revalidate, see docs/protocol.md §14): a writer that already
+            // changed a watched word cannot have its notify lost, because we
+            // observe the change right here and decline to park.
+            if watches.iter().any(|&(a, w)| st.mem[a] != w) {
+                return false;
             }
-            if st.halted {
-                drop(st);
-                planned_unwind(HaltSignal);
-            }
-            if st.granted[self.proc] {
-                break;
-            }
-            shared.proc_cvs[self.proc].wait(&mut st);
+            st.record_trace(t, p, crate::trace::TraceKind::Park(watches.len()));
+            st.parked[p] = Some((t, watches.to_vec()));
+            st.parked_count += 1;
+            true
+        });
+        if parked {
+            // Unlike a memory operation, a parked processor has NO pending
+            // queue event: it takes zero scheduler steps until a committing
+            // writer's notify re-queues it (that is the acceptance criterion
+            // the blocking tests pin). The wakeup time is whatever the
+            // notifier assigned.
+            self.suspend();
+            self.t_local = self.shared.with_state(|st| st.wake_time[p]);
         }
-        st.granted[self.proc] = false;
-        debug_assert_eq!(st.running, Some(self.proc));
-        self.t_local = st.wake_time[self.proc];
     }
 
     fn notify(&mut self, addr: Addr) {
         // Announcements ride the install write the cost model already
-        // charged: the notifier keeps its grant, pays no cycles, and pushes
+        // charged: the notifier keeps running, pays no cycles, and pushes
         // no event of its own — so default (non-blocking) schedules are
         // bit-identical whether or not anyone ever parks.
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
-        if st.parked_count == 0 {
-            return;
-        }
         let t_notify = self.t_local;
-        for q in 0..st.n_procs {
-            let fired = match &st.parked[q] {
-                Some((_, watches)) => watches.iter().any(|&(a, w)| a == addr && st.mem[a] != w),
-                None => false,
-            };
-            if !fired {
-                continue;
+        self.shared.with_state(|st| {
+            if st.parked_count == 0 {
+                return;
             }
-            let (t_parked, _) = st.parked[q].take().expect("checked Some above");
-            st.parked_count -= 1;
-            // The waiter slept from t_parked; it cannot wake before the
-            // notifying install happened.
-            let wake = t_parked.max(t_notify);
-            st.wake_time[q] = wake;
-            let seq = st.seq;
-            st.seq += 1;
-            st.queue.push(Reverse((wake, seq, q)));
-            st.record_trace(wake, q, crate::trace::TraceKind::Wake(addr));
-        }
+            for q in 0..st.n_procs {
+                let fired = match &st.parked[q] {
+                    Some((_, watches)) => watches.iter().any(|&(a, w)| a == addr && st.mem[a] != w),
+                    None => false,
+                };
+                if !fired {
+                    continue;
+                }
+                let (t_parked, _) = st.parked[q].take().expect("checked Some above");
+                st.parked_count -= 1;
+                // The waiter slept from t_parked; it cannot wake before the
+                // notifying install happened.
+                let wake = t_parked.max(t_notify);
+                st.wake_time[q] = wake;
+                st.push(wake, q);
+                st.record_trace(wake, q, crate::trace::TraceKind::Wake(addr));
+            }
+        });
     }
 
     fn step(&mut self, point: StepPoint) {
         // A step announcement costs no cycles and does not reschedule: the
-        // announcing processor still holds the grant. It is recorded in the
-        // trace (for the liveness checker and dump rendering) and evaluated
+        // announcing processor keeps running. It is recorded in the trace
+        // (for the liveness checker and dump rendering) and evaluated
         // against this processor's fault script.
-        {
-            let mut st = self.shared.state.lock();
-            if st.poisoned {
-                drop(st);
-                panic!("simulation poisoned by a failing co-processor");
-            }
-            if st.halted {
-                drop(st);
-                planned_unwind(HaltSignal);
-            }
-            let t = self.t_local;
-            let p = self.proc;
+        let (p, t) = (self.proc, self.t_local);
+        self.shared.with_state(|st| {
+            st.check_live();
             st.record_trace(t, p, crate::trace::TraceKind::Step(point));
             st.stats.record_step(p, &point);
-        }
+        });
         if self.in_fault || self.faults.is_empty() {
             return;
         }
@@ -658,22 +638,46 @@ impl MemPort for SimPort {
 
 impl Drop for SimPort {
     fn drop(&mut self) {
-        if self.done {
-            return;
-        }
-        let mut st = self.shared.state.lock();
-        st.finished += 1;
-        if st.running == Some(self.proc) {
-            st.running = None;
-        }
-        if st.parked[self.proc].take().is_some() {
-            // Unwound (crash fault / halt) while parked: the watch list dies
-            // with the processor.
-            st.parked_count -= 1;
-        }
-        st.clock = st.clock.max(self.t_local);
-        self.shared.schedule_next(&mut st);
+        let (p, t) = (self.proc, self.t_local);
+        self.shared.with_state(|st| {
+            if st.parked[p].take().is_some() {
+                // Unwound (crash fault / halt) while parked: the watch list
+                // dies with the processor.
+                st.parked_count -= 1;
+            }
+            st.clock = st.clock.max(t);
+        });
     }
+}
+
+/// What a processor's coroutine starts from: its workload and its port.
+type Start<B> = Option<(B, SimPort)>;
+
+/// Entry point of a processor's coroutine: run the workload, hand the
+/// engine its outcome, and switch back to the engine for good.
+///
+/// # Safety
+///
+/// `start` points to this processor's [`Start`], filled and kept alive by
+/// [`Simulation::run`] until every processor has finished.
+unsafe extern "C" fn proc_main<B: FnOnce(SimPort)>(start: *mut u8) -> ! {
+    // SAFETY: per the contract; nothing else touches this `Start`.
+    let Some((body, port)) = (unsafe { &mut *start.cast::<Start<B>>() }).take() else {
+        std::process::abort();
+    };
+    let (p, shared) = (port.proc, Rc::as_ptr(&port.shared));
+    let outcome = panic::catch_unwind(AssertUnwindSafe(move || {
+        port.shared.with_state(|st| st.check_live());
+        body(port)
+    }));
+    // Every local that owned anything has been consumed or dropped: this
+    // stack is never resumed again.
+    // SAFETY: `run` holds the engine state until every processor finished.
+    let shared = unsafe { &*shared };
+    shared.exit.set(Some(outcome));
+    // SAFETY: the engine loop is suspended in `Shared::resume`.
+    unsafe { shared.procs[p].switch(&shared.engine) };
+    std::process::abort()
 }
 
 /// A simulated multiprocessor execution.
@@ -718,7 +722,7 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if any workload closure panics, or if the watchdog trips.
-    pub fn run<F, B>(self, n_procs: usize, mut make_body: F) -> SimReport
+    pub fn run<F, B>(self, n_procs: usize, make_body: F) -> SimReport
     where
         F: FnMut(usize) -> B,
         B: FnOnce(SimPort) + Send,
@@ -728,12 +732,10 @@ impl Simulation {
         for &(addr, value) in &self.config.init {
             mem[addr] = value;
         }
-        let state = SimState {
+        let mut state = SimState {
             mem,
             model: self.model,
             queue: BinaryHeap::new(),
-            running: None,
-            granted: vec![false; n_procs],
             parked: vec![None; n_procs],
             parked_count: 0,
             wake_time: vec![0; n_procs],
@@ -751,77 +753,72 @@ impl Simulation {
             trace_limit: self.config.trace_limit,
             trace_dropped: 0,
         };
-        let shared = Arc::new(Shared {
-            state: Mutex::new(state),
-            proc_cvs: (0..n_procs).map(|_| Condvar::new()).collect(),
-            main_cv: Condvar::new(),
+        // Seed the queue: every processor starts with a wake-up event at t=0
+        // so the engine owns the interleaving from the first instruction.
+        for p in 0..n_procs {
+            state.push(0, p);
+        }
+        let shared = Rc::new(Shared {
+            state: UnsafeCell::new(state),
+            engine: Context::current(),
+            procs: (0..n_procs).map(|_| Context::coroutine()).collect(),
+            current: Cell::new(usize::MAX),
+            exit: Cell::new(None),
             max_cycles: self.config.max_cycles,
             n_words: self.config.n_words,
         });
-
-        // Seed the queue: every processor starts with a wake-up event at t=0
-        // so the engine owns the interleaving from the first instruction.
-        {
-            let mut st = shared.state.lock();
-            for p in 0..n_procs {
-                let seq = st.seq;
-                st.seq += 1;
-                st.queue.push(Reverse((0, seq, p)));
-            }
-            shared.schedule_next(&mut st);
+        let (jitter, plan) = (self.config.jitter, &self.config.faults);
+        let mut starts: Vec<Start<B>> = (0..n_procs)
+            .map(make_body)
+            .enumerate()
+            .map(|(p, body)| {
+                Some((body, SimPort::with(Rc::clone(&shared), p, n_procs, jitter, ProcFaults::for_proc(plan, p))))
+            })
+            .collect();
+        let stacks: Vec<Stack> = (0..n_procs).map(|_| Stack::take()).collect();
+        for (p, stack) in stacks.iter().enumerate() {
+            // SAFETY: `starts` is neither moved nor resized until every
+            // coroutine has finished, and `stacks` outlives them all.
+            unsafe { shared.procs[p].prepare(stack, proc_main::<B>, starts.as_mut_ptr().add(p).cast()) };
         }
 
-        let bodies: Vec<B> = (0..n_procs).map(&mut make_body).collect();
-        let jitter = self.config.jitter;
-        let fault_plan = self.config.faults.clone();
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(n_procs);
-            for (p, body) in bodies.into_iter().enumerate() {
-                let shared = Arc::clone(&shared);
-                let faults = ProcFaults::for_proc(&fault_plan, p);
-                handles.push(s.spawn(move || {
-                    let mut port = SimPort::with(shared, p, n_procs, jitter, faults);
-                    // Wait for the initial grant before running user code.
-                    port.complete(0, |_| ());
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| body(port)));
-                    // `port` was moved into the closure; its Drop (even on
-                    // unwind) marked this processor done and rescheduled.
-                    result
-                }));
+        let mut outcomes: Vec<Option<Outcome>> = (0..n_procs).map(|_| None).collect();
+        while let Some(p) = shared.with_state(SimState::next_grant) {
+            if let Some(outcome) = shared.resume(p) {
+                outcomes[p] = Some(outcome);
             }
-            for h in handles {
-                let payload = match h.join() {
-                    Ok(Ok(())) => continue,
-                    Ok(Err(payload)) => payload,
-                    Err(payload) => payload,
-                };
+        }
+        // The run is over. After a halt (or poisoning) processors are still
+        // suspended mid-operation: resume each so it unwinds on its own
+        // stack and runs its destructors.
+        for (p, slot) in outcomes.iter_mut().enumerate() {
+            while slot.is_none() {
+                *slot = shared.resume(p);
+            }
+        }
+        stacks.into_iter().for_each(Stack::recycle);
+
+        for outcome in outcomes.into_iter().flatten() {
+            if let Err(payload) = outcome {
                 // Planned crashes and structured halts are not failures.
-                if payload.is::<CrashSignal>() || payload.is::<HaltSignal>() {
-                    continue;
-                }
-                if first_panic.is_none() {
-                    first_panic = Some(payload);
+                if !payload.is::<CrashSignal>() && !payload.is::<HaltSignal>() {
+                    panic::resume_unwind(payload);
                 }
             }
-        });
-        if let Some(payload) = first_panic {
-            panic::resume_unwind(payload);
         }
 
-        let st = shared.state.lock();
-        let mut crashed = st.crashed.clone();
-        crashed.sort_unstable();
-        SimReport {
-            cycles: st.clock,
-            stats: st.stats.clone(),
-            memory: st.mem.clone(),
-            trace: st.trace.clone(),
-            violation: st.violation.clone(),
-            crashed,
-            trace_dropped: st.trace_dropped,
-        }
+        shared.with_state(|st| {
+            st.crashed.sort_unstable();
+            SimReport {
+                cycles: st.clock,
+                stats: st.stats.clone(),
+                memory: std::mem::take(&mut st.mem),
+                trace: std::mem::take(&mut st.trace),
+                violation: st.violation.take(),
+                crashed: std::mem::take(&mut st.crashed),
+                trace_dropped: st.trace_dropped,
+            }
+        })
     }
 }
 
@@ -1191,5 +1188,83 @@ mod tests {
                 let _ = port.read(5);
             }
         });
+    }
+
+    #[test]
+    fn a_body_can_use_a_mebibyte_of_stack() {
+        /// Recurse through ~1 MiB of frames, reading simulated memory at
+        /// every level so the other processor runs in between.
+        fn deep(port: &mut SimPort, depth: usize) -> u64 {
+            let mut frame = [0u8; 4096];
+            frame[depth % 4096] = depth as u8;
+            let v = port.read(0);
+            if depth == 0 {
+                return v;
+            }
+            std::hint::black_box(&mut frame);
+            deep(port, depth - 1) + u64::from(frame[depth % 4096] == depth as u8)
+        }
+        let report = Simulation::new(SimConfig::with_words(1), UniformModel::new(1, 2)).run(2, |_| {
+            |mut port: SimPort| {
+                assert_eq!(deep(&mut port, 256), 256);
+                let v = port.read(0);
+                port.write(0, v + 1);
+            }
+        });
+        assert_eq!(report.memory[0], 1);
+    }
+
+    #[test]
+    fn a_backtrace_inside_a_processor_ends_at_its_entry() {
+        let captured = std::sync::OnceLock::new();
+        Simulation::new(SimConfig::with_words(1), UniformModel::new(1, 2)).run(1, |_| {
+            let captured = &captured;
+            move |mut port: SimPort| {
+                let _ = port.read(0);
+                captured.set(std::backtrace::Backtrace::force_capture().to_string()).unwrap();
+            }
+        });
+        let bt = captured.into_inner().expect("the body ran");
+        // Frame lines look like "  7: symbol"; source lines start with "at".
+        let frames: Vec<&str> = bt
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.split_once(": ").is_some_and(|(n, _)| n.parse::<usize>().is_ok()))
+            .collect();
+        assert!(frames.iter().any(|f| f.contains("proc_main")), "the walk reaches the entry:\n{bt}");
+        assert!(
+            frames.last().is_some_and(|f| f.ends_with("stm_sim_trampoline")),
+            "the walk ends at the trampoline, not on the caller's stack:\n{bt}"
+        );
+    }
+
+    #[test]
+    fn halted_processors_unwind_and_run_their_destructors() {
+        struct Guard<'a>(&'a std::sync::atomic::AtomicUsize);
+        impl Drop for Guard<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+        let dropped = std::sync::atomic::AtomicUsize::new(0);
+        let report = Simulation::new(
+            SimConfig { n_words: 1, max_cycles: 500, ..Default::default() },
+            UniformModel::new(1, 3),
+        )
+        .run(4, |p| {
+            let dropped = &dropped;
+            move |mut port: SimPort| {
+                let _guard = Guard(dropped);
+                if p == 3 {
+                    let v = port.read(0);
+                    port.wait_on(&[(0, v + 1)], u64::MAX);
+                }
+                loop {
+                    let _ = port.read(0);
+                }
+            }
+        });
+        assert!(matches!(report.violation, Some(Violation::Watchdog { .. })), "{:?}", report.violation);
+        assert_eq!(dropped.into_inner(), 4, "every processor unwound through its guard");
     }
 }

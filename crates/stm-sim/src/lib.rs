@@ -5,10 +5,10 @@
 //! machine and an Alewife-like distributed-shared-memory mesh. This crate
 //! provides the equivalent substrate for the reproduction:
 //!
-//! * [`engine`] — a lockstep discrete-event engine: one host thread per
-//!   simulated processor, every shared-memory operation charged a virtual
-//!   cycle cost and applied in global completion-time order. Fully
-//!   deterministic given a seed.
+//! * [`engine`] — a discrete-event engine: every simulated processor is a
+//!   stackful coroutine on the calling host thread, every shared-memory
+//!   operation is charged a virtual cycle cost and applied in global
+//!   completion-time order. Fully deterministic given a seed.
 //! * [`arch`] — the architecture cost models: [`arch::BusModel`] (snoopy
 //!   caches + one shared bus), [`arch::MeshModel`] (home nodes + per-hop
 //!   latency + hot-spot queueing), and [`arch::UniformModel`] (ideal
@@ -38,6 +38,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod arch;
+mod coroutine;
 pub mod engine;
 pub mod explore;
 pub mod faults;
