@@ -1116,8 +1116,8 @@ mod tests {
 
     #[test]
     fn wait_on_declines_to_park_when_a_watch_already_moved() {
-        // Register-then-revalidate, sim flavor: the recheck happens under
-        // the engine lock, so a write that already landed is never slept
+        // Register-then-revalidate, sim flavor: the recheck happens in the
+        // same engine step, so a write that already landed is never slept
         // through (the run would otherwise deadlock — nobody notifies again).
         let report = Simulation::new(SimConfig::with_words(1), UniformModel::new(1, 3)).run(1, |_| {
             |mut port: SimPort| {
