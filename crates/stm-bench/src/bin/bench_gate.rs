@@ -9,7 +9,7 @@
 //!   --tolerance PCT   allowed throughput regression in percent (default 15)
 //!   --observer-tolerance PCT
 //!                     allowed flight-recorder overhead vs NoopObserver on
-//!                     the W1 host kernel ladder, in percent (default 5)
+//!                     the W1 host kernel ladder, in percent (default 12)
 //!   --observer-ops N  committed transactions per thread per kernel tier in
 //!                     the overhead measurement (default 50000)
 //! ```

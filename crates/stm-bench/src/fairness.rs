@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use stm_core::contention::{AdaptiveConfig, AdaptiveManager, PriorityBoard};
-use stm_core::observe::TxObserver;
+use stm_core::observe::{TxEvent, TxObserver};
 use stm_core::stm::{StmConfig, TxOptions, TxSpec};
 use stm_core::word::Word;
 use stm_sim::engine::SimPort;
@@ -148,14 +148,15 @@ struct StormCounters {
 struct StormObserver(StormCounters);
 
 impl TxObserver for StormObserver {
-    fn starvation_escalated(&mut self, _p: usize, _o: Option<usize>, _a: u64, _now: u64) {
-        self.0.escalations.fetch_add(1, Ordering::Relaxed);
-    }
-    fn conflict_deferred(&mut self, _p: usize, _o: usize, _now: u64) {
-        self.0.deferrals.fetch_add(1, Ordering::Relaxed);
-    }
-    fn forced_commit(&mut self, _p: usize, _a: u64, _now: u64) {
-        self.0.forced.fetch_add(1, Ordering::Relaxed);
+    #[inline]
+    fn on(&mut self, ev: &TxEvent) {
+        let counter = match ev {
+            TxEvent::StarvationEscalated { .. } => &self.0.escalations,
+            TxEvent::ConflictDeferred { .. } => &self.0.deferrals,
+            TxEvent::ForcedCommit { .. } => &self.0.forced,
+            _ => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 

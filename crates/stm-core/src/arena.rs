@@ -42,6 +42,7 @@ use std::sync::Mutex;
 
 use crate::flight::FlightRecorder;
 use crate::layout::StmLayout;
+use crate::observe::{TxEvent, TxObserver};
 use crate::word::CellIdx;
 
 /// A point-in-time summary of arena occupancy.
@@ -102,7 +103,7 @@ pub struct CellArena {
     segments_live: AtomicUsize,
     allocs: AtomicU64,
     frees: AtomicU64,
-    /// Optional flight recorder fed one `cell_alloc`/`cell_free` event per
+    /// Optional flight recorder fed one `CellAlloc`/`CellFree` event per
     /// span transition; `recording` keeps the no-recorder fast path to one
     /// relaxed load.
     recorder: Mutex<Option<FlightRecorder>>,
@@ -139,28 +140,30 @@ impl CellArena {
     }
 
     /// Attach a [`FlightRecorder`]: every span allocation and free emits a
-    /// `cell_alloc`/`cell_free` event (first cell index, live cells after),
-    /// which the attribution fold and the metrics exporters surface as
-    /// `stm_cell_allocs_total`/`stm_cell_frees_total`. Timestamps are a
-    /// monotonic arena-local event counter, not machine cycles. Alloc events
-    /// carry the allocating processor; free events (which have no processor
-    /// argument) carry the freed cell's shard index in the proc column.
+    /// [`TxEvent::CellAlloc`]/[`TxEvent::CellFree`] (first cell index, live
+    /// cells after), which the attribution fold and the metrics exporters
+    /// surface as `stm_cell_allocs_total`/`stm_cell_frees_total`. Timestamps
+    /// are a monotonic arena-local event counter, not machine cycles. Alloc
+    /// events carry the allocating processor; free events (which have no
+    /// processor argument) carry the freed cell's shard index in the proc
+    /// column.
     pub fn attach_recorder(&self, recorder: FlightRecorder) {
         *self.recorder.lock().unwrap() = Some(recorder);
         self.recording.store(true, Ordering::Release);
     }
 
-    fn record(&self, alloc: bool, proc: usize, idx: CellIdx, live: usize) {
+    fn record(&self, alloc: bool, proc: usize, cell: CellIdx, live: usize) {
         if !self.recording.load(Ordering::Relaxed) {
             return;
         }
-        let now = self.events.fetch_add(1, Ordering::Relaxed);
+        let (live, at) = (live as u64, self.events.fetch_add(1, Ordering::Relaxed));
+        let ev = if alloc {
+            TxEvent::CellAlloc { proc, cell, live, at }
+        } else {
+            TxEvent::CellFree { proc, cell, live, at }
+        };
         if let Some(rec) = self.recorder.lock().unwrap().as_mut() {
-            if alloc {
-                rec.cell_alloc(proc, idx, live as u64, now);
-            } else {
-                rec.cell_free(proc, idx, live as u64, now);
-            }
+            rec.on(&ev);
         }
     }
 
@@ -420,7 +423,6 @@ mod tests {
 
     #[test]
     fn attached_recorder_sees_every_alloc_and_free() {
-        use crate::flight::FlightKind;
         let a = small();
         let rec = FlightRecorder::new(0, 64);
         let buf = rec.buffer();
@@ -431,27 +433,19 @@ mod tests {
         a.free_span(y, 2);
         let read = buf.read_since(0);
         assert_eq!(read.dropped, 0);
-        let kinds: Vec<FlightKind> = read.events.iter().map(|e| e.kind).collect();
+        // First cell index and live cells after each transition. Alloc
+        // events carry the allocating proc; frees carry the shard.
+        let shard = |c| a.layout().shard_of(c);
+        let events: Vec<TxEvent> = read.events.iter().map(|e| e.event).collect();
         assert_eq!(
-            kinds,
+            events,
             vec![
-                FlightKind::CellAlloc,
-                FlightKind::CellAlloc,
-                FlightKind::CellFree,
-                FlightKind::CellFree
+                TxEvent::CellAlloc { proc: 1, cell: x, live: 3, at: 0 },
+                TxEvent::CellAlloc { proc: 0, cell: y, live: 5, at: 1 },
+                TxEvent::CellFree { proc: shard(x), cell: x, live: 2, at: 2 },
+                TxEvent::CellFree { proc: shard(y), cell: y, live: 0, at: 3 },
             ]
         );
-        // a/b columns: first cell index and live cells after the transition.
-        assert_eq!(read.events[0].a, x as u64);
-        assert_eq!(read.events[0].b, 3);
-        assert_eq!(read.events[1].b, 5);
-        assert_eq!(read.events[3].b, 0);
-        // Alloc events carry the allocating proc; frees carry the shard.
-        assert_eq!(read.events[0].proc, 1);
-        assert_eq!(read.events[2].proc, a.layout().shard_of(x) as u32);
-        // Timestamps are the arena's own monotone event counter.
-        let stamps: Vec<u64> = read.events.iter().map(|e| e.at).collect();
-        assert_eq!(stamps, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::flight::{FlightEvent, FlightKind, NO_OP_TAG};
+use crate::flight::{FlightEvent, NO_OP_TAG};
+use crate::observe::TxEvent;
 
 /// Per-cell blame counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,42 +82,41 @@ impl Attribution {
     /// themselves are never lost across drains.
     pub fn fold(&mut self, events: &[FlightEvent]) {
         // proc -> cell of its most recent unresolved conflict.
-        let mut pending: BTreeMap<u32, Option<u64>> = BTreeMap::new();
-        for ev in events {
-            match ev.kind {
-                FlightKind::Conflict => {
+        let mut pending: BTreeMap<usize, Option<u64>> = BTreeMap::new();
+        for rec in events {
+            match rec.event {
+                TxEvent::Conflict { proc, cell, owner, .. } => {
                     self.aborts += 1;
-                    let cell = ev.conflict_cell().map(|c| c as u64);
+                    let cell = cell.map(|c| c as u64);
                     if let Some(c) = cell {
                         self.cells.entry(c).or_default().aborts += 1;
                     }
-                    if let Some((_, aborter_op)) = ev.conflict_owner() {
-                        *self.pairs.entry((ev.op, aborter_op)).or_default() += 1;
+                    if owner.is_some() {
+                        *self.pairs.entry((rec.op, rec.owner_op)).or_default() += 1;
                     }
-                    pending.insert(ev.proc, cell);
+                    pending.insert(proc, cell);
                 }
-                FlightKind::HelpBegin => {
+                TxEvent::HelpBegin { proc, .. } => {
                     self.helps += 1;
-                    if let Some(Some(c)) = pending.get(&ev.proc) {
+                    if let Some(Some(c)) = pending.get(&proc) {
                         self.cells.entry(*c).or_default().helps += 1;
                     }
                 }
-                FlightKind::Aborted => {
-                    let cycles = ev.cycles();
-                    self.cycles_lost += cycles;
-                    if let Some(Some(c)) = pending.remove(&ev.proc) {
-                        self.cells.entry(c).or_default().cycles_lost += cycles;
+                TxEvent::Aborted { proc, .. } => {
+                    self.cycles_lost += rec.cycles;
+                    if let Some(Some(c)) = pending.remove(&proc) {
+                        self.cells.entry(c).or_default().cycles_lost += rec.cycles;
                     }
                 }
-                FlightKind::Committed => {
-                    pending.remove(&ev.proc);
+                TxEvent::Committed { proc, .. } => {
+                    pending.remove(&proc);
                 }
-                FlightKind::StarvationEscalated => self.escalations += 1,
-                FlightKind::ForcedCommit => self.forced_commits += 1,
-                FlightKind::ConflictDeferred => self.deferrals += 1,
-                FlightKind::DeltaCommit => self.delta_commits += 1,
-                FlightKind::CellAlloc => self.cell_allocs += 1,
-                FlightKind::CellFree => self.cell_frees += 1,
+                TxEvent::StarvationEscalated { .. } => self.escalations += 1,
+                TxEvent::ForcedCommit { .. } => self.forced_commits += 1,
+                TxEvent::ConflictDeferred { .. } => self.deferrals += 1,
+                TxEvent::DeltaCommitted { .. } => self.delta_commits += 1,
+                TxEvent::CellAlloc { .. } => self.cell_allocs += 1,
+                TxEvent::CellFree { .. } => self.cell_frees += 1,
                 _ => {}
             }
         }
@@ -281,13 +281,13 @@ mod tests {
     fn folds_conflict_help_abort_chain() {
         let mut rec = FlightRecorder::new(0, 64);
         rec.set_op(3);
-        rec.attempt_begin(0, 0, 100);
-        rec.conflict(0, Some(5), Some(1), 150);
-        rec.help_begin(0, 1, 150);
-        rec.help_end(0, 1, 160);
-        rec.aborted(0, 0, 180);
-        rec.attempt_begin(0, 1, 180);
-        rec.committed(0, 2, 250);
+        rec.on(&TxEvent::AttemptBegin { proc: 0, attempt: 0, at: 100 });
+        rec.on(&TxEvent::Conflict { proc: 0, cell: Some(5), owner: Some(1), at: 150 });
+        rec.on(&TxEvent::HelpBegin { proc: 0, owner: 1, at: 150 });
+        rec.on(&TxEvent::HelpEnd { proc: 0, owner: 1, at: 160 });
+        rec.on(&TxEvent::Aborted { proc: 0, at_pos: 0, at: 180 });
+        rec.on(&TxEvent::AttemptBegin { proc: 0, attempt: 1, at: 180 });
+        rec.on(&TxEvent::Committed { proc: 0, attempts: 2, at: 250 });
         let attr = Attribution::from_events(&rec.drain());
         assert_eq!(attr.aborts(), 1);
         assert_eq!(attr.helps(), 1);
@@ -304,15 +304,15 @@ mod tests {
     #[test]
     fn merge_is_additive_and_top_cells_rank() {
         let mut rec = FlightRecorder::new(0, 64);
-        rec.attempt_begin(0, 0, 0);
-        rec.conflict(0, Some(1), None, 5);
-        rec.aborted(0, 0, 10);
-        rec.attempt_begin(0, 1, 10);
-        rec.conflict(0, Some(2), None, 12);
-        rec.aborted(0, 0, 20);
-        rec.attempt_begin(0, 2, 20);
-        rec.conflict(0, Some(2), None, 22);
-        rec.aborted(0, 0, 30);
+        rec.on(&TxEvent::AttemptBegin { proc: 0, attempt: 0, at: 0 });
+        rec.on(&TxEvent::Conflict { proc: 0, cell: Some(1), owner: None, at: 5 });
+        rec.on(&TxEvent::Aborted { proc: 0, at_pos: 0, at: 10 });
+        rec.on(&TxEvent::AttemptBegin { proc: 0, attempt: 1, at: 10 });
+        rec.on(&TxEvent::Conflict { proc: 0, cell: Some(2), owner: None, at: 12 });
+        rec.on(&TxEvent::Aborted { proc: 0, at_pos: 0, at: 20 });
+        rec.on(&TxEvent::AttemptBegin { proc: 0, attempt: 2, at: 20 });
+        rec.on(&TxEvent::Conflict { proc: 0, cell: Some(2), owner: None, at: 22 });
+        rec.on(&TxEvent::Aborted { proc: 0, at_pos: 0, at: 30 });
         let one = Attribution::from_events(&rec.drain());
         let mut both = one.clone();
         both.merge(&one);

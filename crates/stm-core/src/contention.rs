@@ -23,10 +23,10 @@
 //! through [`MemPort::yield_now`](crate::machine::MemPort::yield_now) /
 //! [`MemPort::park_micros`](crate::machine::MemPort::park_micros): real
 //! thread yields and parks on the host, deterministic virtual-clock delays on
-//! the simulator. Escalations and waits are reported through the
-//! [`TxObserver`](crate::observe::TxObserver) hooks
-//! (`backoff_wait` / `starvation_escalated`), so [`crate::metrics::TxMetrics`]
-//! can assert on them.
+//! the simulator. Escalations and waits are reported to the
+//! [`TxObserver`](crate::observe::TxObserver) as `BackoffWait` /
+//! `StarvationEscalated` [`TxEvent`](crate::observe::TxEvent)s, so
+//! [`crate::metrics::TxMetrics`] can assert on them.
 //!
 //! # Priority escalation
 //!
@@ -205,8 +205,8 @@ pub struct RetryDecision {
     /// How to wait before retrying.
     pub wait: WaitAction,
     /// `true` exactly when this conflict tripped the starvation detector
-    /// (reported once per escalation via
-    /// [`TxObserver::starvation_escalated`](crate::observe::TxObserver::starvation_escalated)).
+    /// (reported once per escalation as
+    /// [`TxEvent::StarvationEscalated`](crate::observe::TxEvent::StarvationEscalated)).
     pub newly_escalated: bool,
 }
 

@@ -40,7 +40,7 @@ use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
 use crate::machine::MemPort;
-use crate::observe::TxObserver;
+use crate::observe::{TxEvent, TxObserver};
 use crate::word::{cell_successor, cell_value, CellIdx, Word};
 
 // ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ pub fn recover(cells: &mut [Word], bytes: &[u8]) -> RecoveryReport {
 }
 
 /// [`recover`] with a [`TxObserver`] receiving the
-/// [`recovery_replayed`](TxObserver::recovery_replayed) lifecycle hook.
+/// [`TxEvent::RecoveryReplayed`] lifecycle event.
 pub fn recover_with<O: TxObserver>(
     cells: &mut [Word],
     bytes: &[u8],
@@ -279,7 +279,11 @@ pub fn recover_with<O: TxObserver>(
             report.cells_installed += installed_here;
         }
     }
-    obs.recovery_replayed(report.records_scanned, report.cells_installed, 0);
+    obs.on(&TxEvent::RecoveryReplayed {
+        records: report.records_scanned,
+        installed: report.cells_installed,
+        at: 0,
+    });
     report
 }
 

@@ -11,12 +11,15 @@
 //! transaction that re-checks every read value and installs every write
 //! atomically. If validation fails, re-run the body.
 //!
-//! This gives opaque-by-construction dynamic transactions: the commit is
-//! one static transaction (atomic, lock-free), and a body that observed a
-//! stale mix of values simply fails validation and retries. The body may
-//! therefore observe *inconsistent snapshots across reads* mid-run — like
-//! the original optimistic STMs — so bodies must be pure (no side effects,
-//! no panics driven by impossible states; use [`DynamicTx::read`]'s values
+//! Commits are serializable: each commit is one static transaction
+//! (atomic, lock-free), and a body that observed a stale mix of values
+//! fails validation and retries. Bodies are **not opaque**: nothing is
+//! validated until commit, so a body may observe *inconsistent snapshots
+//! across reads* mid-run — like the original optimistic STMs. The probe in
+//! `ROADMAP.md` item 4 (a transfer writer against a reader body checking
+//! `x + y == 100`, 2 host threads) found an inconsistent pair in 36% of
+//! body executions. Bodies must therefore be pure (no side effects, no
+//! panics driven by impossible states; use [`DynamicTx::read`]'s values
 //! only to compute).
 //!
 //! **Read-only transactions take a fast path**: a body that never calls
@@ -64,6 +67,7 @@
 
 use crate::contention::ContentionManager;
 use crate::machine::MemPort;
+use crate::observe::TxEvent;
 use crate::ops::StmOps;
 use crate::stm::{Stm, StmConfig, TxBudget, TxError, TxOptions, TxScratch, TxSpec, TxStats};
 use crate::word::{cell_value, pack_cell, Addr, CellIdx, Word};
@@ -269,7 +273,7 @@ impl DynamicStm {
     /// is refreshed in place from the failed commit's atomic snapshot and
     /// the body re-executes against that consistent cut without re-reading
     /// its footprint from memory. A commit that lands this way reports
-    /// [`TxObserver::delta_committed`](crate::observe::TxObserver::delta_committed).
+    /// [`TxEvent::DeltaCommitted`].
     /// The default (`0`) disables the path, leaving schedules identical to
     /// the classic full-retry loop.
     ///
@@ -464,7 +468,11 @@ impl DynamicStm {
                         // log (next attempt, or never) is the whole abort.
                         let _ = tx;
                         stats.attempts += 1;
-                        obs.op_panicked(port.proc_id(), stats.attempts, port.now());
+                        obs.on(&TxEvent::OpPanicked {
+                            proc: port.proc_id(),
+                            attempts: stats.attempts,
+                            at: port.now(),
+                        });
                         return Err(TxError::OpPanicked { attempts: stats.attempts });
                     }
                 }
@@ -490,7 +498,11 @@ impl DynamicStm {
                     watches.extend(read_log.iter().map(|&(c, value, stamp)| {
                         (self.ops.stm().layout().cell(c), pack_cell(stamp, value))
                     }));
-                    obs.retry_blocked(port.proc_id(), watches.len() as u64, port.now());
+                    obs.on(&TxEvent::RetryBlocked {
+                        proc: port.proc_id(),
+                        watched: watches.len() as u64,
+                        at: port.now(),
+                    });
                     port.step(crate::step::StepPoint::RetryPark);
                     // Cap a single park at the remaining wall budget so a
                     // deadline cannot be slept through.
@@ -504,7 +516,11 @@ impl DynamicStm {
                     port.wait_on(&watches, cap);
                     port.step(crate::step::StepPoint::RetryWake);
                     stats.wakeups += 1;
-                    obs.retry_woken(port.proc_id(), stats.wakeups, port.now());
+                    obs.on(&TxEvent::RetryWoken {
+                        proc: port.proc_id(),
+                        wakeups: stats.wakeups,
+                        at: port.now(),
+                    });
                     delta_pending = None;
                     continue;
                 }
@@ -614,7 +630,11 @@ impl DynamicStm {
             }
             if changed == 0 {
                 if let Some(cells_changed) = delta_pending {
-                    obs.delta_committed(port.proc_id(), cells_changed, port.now());
+                    obs.on(&TxEvent::DeltaCommitted {
+                        proc: port.proc_id(),
+                        cells_changed,
+                        at: port.now(),
+                    });
                 }
                 return Ok((result, stats));
             }

@@ -26,8 +26,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::attribution::Attribution;
-use crate::flight::{FlightBuffer, FlightEvent, FlightKind, FlightRecorder, OpBoard, NO_OP_TAG};
+use crate::flight::{FlightBuffer, FlightRecorder, OpBoard, NO_OP_TAG};
 use crate::metrics::Log2Histogram;
+use crate::observe::TxEvent;
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -69,22 +70,22 @@ pub struct ProcCounters {
 }
 
 impl ProcCounters {
-    fn absorb(&mut self, ev: &FlightEvent) {
+    fn absorb(&mut self, ev: &TxEvent) {
         self.events += 1;
-        match ev.kind {
-            FlightKind::AttemptBegin => self.attempts += 1,
-            FlightKind::Committed => self.commits += 1,
-            FlightKind::Aborted => self.aborts += 1,
-            FlightKind::HelpBegin => self.helps += 1,
-            FlightKind::BackoffWait => self.backoff_waits += 1,
-            FlightKind::StarvationEscalated => self.escalations += 1,
-            FlightKind::ForcedCommit => self.forced_commits += 1,
-            FlightKind::ConflictDeferred => self.conflicts_deferred += 1,
-            FlightKind::DeltaCommit => self.delta_commits += 1,
-            FlightKind::OpPanicked => self.op_panics += 1,
-            FlightKind::JournalFlush => self.journal_flushes += 1,
-            FlightKind::CellAlloc => self.cell_allocs += 1,
-            FlightKind::CellFree => self.cell_frees += 1,
+        match ev {
+            TxEvent::AttemptBegin { .. } => self.attempts += 1,
+            TxEvent::Committed { .. } => self.commits += 1,
+            TxEvent::Aborted { .. } => self.aborts += 1,
+            TxEvent::HelpBegin { .. } => self.helps += 1,
+            TxEvent::BackoffWait { .. } => self.backoff_waits += 1,
+            TxEvent::StarvationEscalated { .. } => self.escalations += 1,
+            TxEvent::ForcedCommit { .. } => self.forced_commits += 1,
+            TxEvent::ConflictDeferred { .. } => self.conflicts_deferred += 1,
+            TxEvent::DeltaCommitted { .. } => self.delta_commits += 1,
+            TxEvent::OpPanicked { .. } => self.op_panics += 1,
+            TxEvent::JournalFlush { .. } => self.journal_flushes += 1,
+            TxEvent::CellAlloc { .. } => self.cell_allocs += 1,
+            TxEvent::CellFree { .. } => self.cell_frees += 1,
             _ => {}
         }
     }
@@ -248,8 +249,8 @@ impl MetricsRegistry {
             let read = buf.read_since(st.cursors[p]);
             st.cursors[p] = read.cursor;
             st.procs[p].dropped += read.dropped;
-            for ev in &read.events {
-                st.procs[p].absorb(ev);
+            for rec in &read.events {
+                st.procs[p].absorb(&rec.event);
             }
             st.attribution.fold(&read.events);
         }
@@ -803,15 +804,15 @@ mod tests {
         let mut r1 = reg.recorder(1);
         r0.set_op(1);
         r1.set_op(2);
-        r0.attempt_begin(0, 1, 0);
-        r0.conflict(0, Some(3), Some(1), 10);
-        r0.help_begin(0, 1, 10);
-        r0.help_end(0, 1, 20);
-        r0.aborted(0, 0, 30);
-        r0.attempt_begin(0, 2, 30);
-        r0.committed(0, 2, 40);
-        r1.attempt_begin(1, 1, 0);
-        r1.committed(1, 1, 8);
+        r0.on(&TxEvent::AttemptBegin { proc: 0, attempt: 1, at: 0 });
+        r0.on(&TxEvent::Conflict { proc: 0, cell: Some(3), owner: Some(1), at: 10 });
+        r0.on(&TxEvent::HelpBegin { proc: 0, owner: 1, at: 10 });
+        r0.on(&TxEvent::HelpEnd { proc: 0, owner: 1, at: 20 });
+        r0.on(&TxEvent::Aborted { proc: 0, at_pos: 0, at: 30 });
+        r0.on(&TxEvent::AttemptBegin { proc: 0, attempt: 2, at: 30 });
+        r0.on(&TxEvent::Committed { proc: 0, attempts: 2, at: 40 });
+        r1.on(&TxEvent::AttemptBegin { proc: 1, attempt: 1, at: 0 });
+        r1.on(&TxEvent::Committed { proc: 1, attempts: 1, at: 8 });
         let mut lat = Log2Histogram::new();
         for v in [120, 340, 900, 1800] {
             lat.record(v);

@@ -2,13 +2,13 @@
 //! transaction events.
 //!
 //! [`FlightRecorder`] is a [`TxObserver`] that appends one fixed-width
-//! record per *coarse* lifecycle event — attempt begin, conflict (with the
-//! owning proc and cell), help, commit, abort, backoff, starvation
-//! escalation, panic, journal flush, recovery replay, forced commit,
-//! deferred conflict, delta commit — into a power-of-two
-//! [`FlightBuffer`]. Per-cell micro events (`cell_acquired`, `write_back`,
-//! `released`) are deliberately *not* recorded: they dominate event volume
-//! and would blow the ≤5% overhead budget the bench gate enforces.
+//! record per *coarse* [`TxEvent`] — every variant except the per-cell
+//! micro events `Acquired`, `WriteBack` and `Released`, which dominate
+//! event volume and would blow the observer-overhead budget the bench gate
+//! enforces ([`is_recorded`] is the rule) — into a power-of-two
+//! [`FlightBuffer`]. A record is the event plus what the recorder adds at
+//! record time ([`FlightEvent`]); one packing function and its inverse map
+//! it to and from the four payload words of a ring slot.
 //!
 //! # Memory-ordering argument
 //!
@@ -36,7 +36,7 @@
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::observe::TxObserver;
+use crate::observe::{TxEvent, TxObserver};
 use crate::word::CellIdx;
 
 /// Default per-thread ring capacity (events) used by convenience
@@ -50,203 +50,136 @@ pub const NO_OP_TAG: u32 = 0;
 const OP_TAG_BITS: u32 = 24;
 const OP_TAG_MASK: u32 = (1 << OP_TAG_BITS) - 1;
 
-/// Sentinel for "no cell" in a [`FlightKind::Conflict`] record's `a` word.
+/// Sentinel for "no cell" in a packed `Conflict` record.
 const NO_CELL: u64 = u64::MAX;
+
+/// Flag bit marking a packed `Conflict` record whose owner is known.
+const OWNER_KNOWN: u64 = 1 << 63;
 
 // ---------------------------------------------------------------------------
 // Event encoding
 // ---------------------------------------------------------------------------
 
-/// Discriminant of a [`FlightEvent`]. Only coarse lifecycle events are
-/// recorded; see the module docs for why per-cell events are omitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-pub enum FlightKind {
-    /// A transaction attempt started (`a` = attempt ordinal).
-    AttemptBegin = 1,
-    /// The attempt lost to a conflicting owner (`a` = cell or `NO_CELL`,
-    /// `b` = packed owner; see [`FlightEvent::conflict_owner`]).
-    Conflict = 2,
-    /// The victim started helping the obstructing owner (`a` = owner proc).
-    HelpBegin = 3,
-    /// Helping the owner finished (`a` = owner proc).
-    HelpEnd = 4,
-    /// The transaction committed (`a` = attempts used, `b` = cycles since
-    /// the last `AttemptBegin`).
-    Committed = 5,
-    /// The attempt aborted (`a` = failing acquisition position, `b` =
-    /// cycles since the last `AttemptBegin` — the cycles lost to the
-    /// conflict).
-    Aborted = 6,
-    /// The contention manager imposed a wait (`a` = attempt, `b` = amount).
-    BackoffWait = 7,
-    /// Starvation escalation fired (`a` = attempts, `b` = owner proc + 1,
-    /// or 0 when no specific owner was blamed).
-    StarvationEscalated = 8,
-    /// The user operation panicked (`a` = attempts so far).
-    OpPanicked = 9,
-    /// A journal batch was flushed (`a` = records `<< 32 |` bytes, `b` =
-    /// flush latency in cycles).
-    JournalFlush = 10,
-    /// Recovery replayed a journal (`a` = records scanned, `b` = installed).
-    RecoveryReplayed = 11,
-    /// An escalated transaction committed at the forced tier (`a` =
-    /// attempts used).
-    ForcedCommit = 12,
-    /// A helper declined to fail a higher-priority owner's live transaction
-    /// (`a` = owner proc).
-    ConflictDeferred = 13,
-    /// A dynamic transaction committed via delta-revalidation (`a` = read
-    /// cells that had changed and were refreshed in place).
-    DeltaCommit = 14,
-    /// A blocking dynamic transaction parked on its read set (`a` = watched
-    /// cells).
-    RetryBlocked = 15,
-    /// A parked blocking transaction returned from its park (`a` =
-    /// cumulative wakeups for this call).
-    RetryWoken = 16,
-    /// A cell span was handed out by a
-    /// [`CellArena`](crate::arena::CellArena) (`a` = first cell index,
-    /// `b` = live cells after the allocation).
-    CellAlloc = 17,
-    /// A cell span was returned to the arena (`a` = first cell index,
-    /// `b` = live cells after the free).
-    CellFree = 18,
-}
-
-impl FlightKind {
-    fn from_u8(v: u8) -> Option<Self> {
-        Some(match v {
-            1 => Self::AttemptBegin,
-            2 => Self::Conflict,
-            3 => Self::HelpBegin,
-            4 => Self::HelpEnd,
-            5 => Self::Committed,
-            6 => Self::Aborted,
-            7 => Self::BackoffWait,
-            8 => Self::StarvationEscalated,
-            9 => Self::OpPanicked,
-            10 => Self::JournalFlush,
-            11 => Self::RecoveryReplayed,
-            12 => Self::ForcedCommit,
-            13 => Self::ConflictDeferred,
-            14 => Self::DeltaCommit,
-            15 => Self::RetryBlocked,
-            16 => Self::RetryWoken,
-            17 => Self::CellAlloc,
-            18 => Self::CellFree,
-            _ => return None,
-        })
-    }
-
-    /// Short human-readable label, stable for dumps and tests.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::AttemptBegin => "attempt_begin",
-            Self::Conflict => "conflict",
-            Self::HelpBegin => "help_begin",
-            Self::HelpEnd => "help_end",
-            Self::Committed => "committed",
-            Self::Aborted => "aborted",
-            Self::BackoffWait => "backoff_wait",
-            Self::StarvationEscalated => "starvation_escalated",
-            Self::OpPanicked => "op_panicked",
-            Self::JournalFlush => "journal_flush",
-            Self::RecoveryReplayed => "recovery_replayed",
-            Self::ForcedCommit => "forced_commit",
-            Self::ConflictDeferred => "conflict_deferred",
-            Self::DeltaCommit => "delta_commit",
-            Self::RetryBlocked => "retry_blocked",
-            Self::RetryWoken => "retry_woken",
-            Self::CellAlloc => "cell_alloc",
-            Self::CellFree => "cell_free",
-        }
-    }
-}
-
-/// One decoded flight-recorder record: 32 bytes of payload in the ring.
-///
-/// `a` and `b` are kind-specific (documented on [`FlightKind`]); the typed
-/// accessors below decode the packed forms.
+/// One flight-recorder record: a [`TxEvent`] plus the context the recorder
+/// adds when it records it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// What happened.
-    pub kind: FlightKind,
-    /// The proc the event happened on.
-    pub proc: u32,
+    /// The recorded event.
+    pub event: TxEvent,
     /// Operation tag of the recording proc's current op (24 bits;
     /// [`NO_OP_TAG`] when untagged). See [`FlightRecorder::set_op`].
     pub op: u32,
-    /// First kind-specific payload word.
-    pub a: u64,
-    /// Second kind-specific payload word.
-    pub b: u64,
-    /// `MemPort::now()` at record time (virtual cycles on the sim, 0 on
-    /// hosts without a cycle source).
-    pub at: u64,
+    /// For a `Conflict` with a known owner: the owner's op tag, read from
+    /// the [`OpBoard`] at record time ([`NO_OP_TAG`] otherwise).
+    pub owner_op: u32,
+    /// For `Committed`/`Aborted`: port time since the attempt's
+    /// `AttemptBegin` (0 otherwise, and 0 on hosts without a cycle source).
+    pub cycles: u64,
+}
+
+/// Whether the flight recorder keeps `ev`: every event except the per-cell
+/// `Acquired`, `WriteBack` and `Released`.
+#[inline]
+pub fn is_recorded(ev: &TxEvent) -> bool {
+    FlightEvent { event: *ev, op: NO_OP_TAG, owner_op: NO_OP_TAG, cycles: 0 }
+        .pack()
+        .is_some()
+}
+
+/// Saturate a count into the 32 bits a packed field has.
+#[inline]
+fn u32_sat(v: u64) -> u64 {
+    v.min(u64::from(u32::MAX))
 }
 
 impl FlightEvent {
-    /// For [`FlightKind::Conflict`]: the cell whose acquisition failed,
-    /// when the protocol could identify one.
-    pub fn conflict_cell(&self) -> Option<CellIdx> {
-        if self.kind == FlightKind::Conflict && self.a != NO_CELL {
-            Some(self.a as CellIdx)
-        } else {
-            None
-        }
-    }
-
-    /// For [`FlightKind::Conflict`]: `(owner proc, owner op tag)` of the
-    /// transaction that held the contested ownership, when known.
-    pub fn conflict_owner(&self) -> Option<(u32, u32)> {
-        if self.kind == FlightKind::Conflict && self.b >> 63 == 1 {
-            Some((self.b as u32, (self.b >> 32) as u32 & OP_TAG_MASK))
-        } else {
-            None
-        }
-    }
-
-    /// For [`FlightKind::Committed`] / [`FlightKind::Aborted`]: cycles
-    /// elapsed since the attempt began (0 on hosts without a cycle source).
-    pub fn cycles(&self) -> u64 {
-        match self.kind {
-            FlightKind::Committed | FlightKind::Aborted => self.b,
-            _ => 0,
-        }
-    }
-
-    fn encode(&self) -> [u64; 4] {
-        let w0 = ((self.kind as u64) << 56)
-            | (u64::from(self.op & OP_TAG_MASK) << 32)
-            | u64::from(self.proc);
-        [w0, self.a, self.b, self.at]
-    }
-
-    fn decode(w: [u64; 4]) -> Option<Self> {
-        Some(Self {
-            kind: FlightKind::from_u8((w[0] >> 56) as u8)?,
-            proc: w[0] as u32,
-            op: (w[0] >> 32) as u32 & OP_TAG_MASK,
-            a: w[1],
-            b: w[2],
-            at: w[3],
-        })
-    }
-
-    fn conflict(proc: u32, op: u32, cell: Option<CellIdx>, owner: Option<(u32, u32)>, at: u64) -> Self {
-        let b = match owner {
-            Some((p, tag)) => (1u64 << 63) | (u64::from(tag & OP_TAG_MASK) << 32) | u64::from(p),
-            None => 0,
+    /// Pack into a ring slot's four words, or `None` for an event the
+    /// recorder skips. Word 0 is `kind << 56 | op << 32 | proc`, word 3 is
+    /// `at`, and words 1 and 2 hold the variant's payload. `kind` numbers
+    /// are the record format; [`unpack`](Self::unpack) is the inverse.
+    /// `JournalFlush` saturates `records` and `bytes` at `u32::MAX`.
+    #[inline(always)]
+    fn pack(&self) -> Option<[u64; 4]> {
+        let (kind, proc, a, b, at) = match self.event {
+            TxEvent::Acquired { .. } | TxEvent::WriteBack { .. } | TxEvent::Released { .. } => {
+                return None
+            }
+            TxEvent::AttemptBegin { proc, attempt, at } => (1, proc, attempt, 0, at),
+            TxEvent::Conflict { proc, cell, owner, at } => {
+                let tag = u64::from(self.owner_op & OP_TAG_MASK);
+                let b = owner.map_or(0, |p| OWNER_KNOWN | tag << 32 | p as u64);
+                (2, proc, cell.map_or(NO_CELL, |c| c as u64), b, at)
+            }
+            TxEvent::HelpBegin { proc, owner, at } => (3, proc, owner as u64, 0, at),
+            TxEvent::HelpEnd { proc, owner, at } => (4, proc, owner as u64, 0, at),
+            TxEvent::Committed { proc, attempts, at } => (5, proc, attempts, self.cycles, at),
+            TxEvent::Aborted { proc, at_pos, at } => (6, proc, at_pos as u64, self.cycles, at),
+            TxEvent::BackoffWait { proc, attempt, amount, at } => (7, proc, attempt, amount, at),
+            TxEvent::StarvationEscalated { proc, owner, attempts, at } => {
+                (8, proc, attempts, owner.map_or(0, |p| p as u64 + 1), at)
+            }
+            TxEvent::OpPanicked { proc, attempts, at } => (9, proc, attempts, 0, at),
+            TxEvent::JournalFlush { proc, records, bytes, latency, at } => {
+                (10, proc, u32_sat(records) << 32 | u32_sat(bytes), latency, at)
+            }
+            TxEvent::RecoveryReplayed { records, installed, at } => (11, 0, records, installed, at),
+            TxEvent::ForcedCommit { proc, attempts, at } => (12, proc, attempts, 0, at),
+            TxEvent::ConflictDeferred { proc, owner, at } => (13, proc, owner as u64, 0, at),
+            TxEvent::DeltaCommitted { proc, cells_changed, at } => (14, proc, cells_changed, 0, at),
+            TxEvent::RetryBlocked { proc, watched, at } => (15, proc, watched, 0, at),
+            TxEvent::RetryWoken { proc, wakeups, at } => (16, proc, wakeups, 0, at),
+            TxEvent::CellAlloc { proc, cell, live, at } => (17, proc, cell as u64, live, at),
+            TxEvent::CellFree { proc, cell, live, at } => (18, proc, cell as u64, live, at),
         };
-        Self {
-            kind: FlightKind::Conflict,
-            proc,
-            op,
-            a: cell.map_or(NO_CELL, |c| c as u64),
-            b,
-            at,
-        }
+        let w0 = (kind << 56) | (u64::from(self.op & OP_TAG_MASK) << 32) | u64::from(proc as u32);
+        Some([w0, a, b, at])
+    }
+
+    /// Inverse of [`pack`](Self::pack); `None` for an unknown kind.
+    fn unpack(w: [u64; 4]) -> Option<Self> {
+        let proc = w[0] as u32 as usize;
+        let (a, b, at) = (w[1], w[2], w[3]);
+        let (mut owner_op, mut cycles) = (NO_OP_TAG, 0);
+        let event = match w[0] >> 56 {
+            1 => TxEvent::AttemptBegin { proc, attempt: a, at },
+            2 => {
+                owner_op = (b >> 32) as u32 & OP_TAG_MASK;
+                let cell = (a != NO_CELL).then_some(a as CellIdx);
+                let owner = (b & OWNER_KNOWN != 0).then_some(b as u32 as usize);
+                TxEvent::Conflict { proc, cell, owner, at }
+            }
+            3 => TxEvent::HelpBegin { proc, owner: a as usize, at },
+            4 => TxEvent::HelpEnd { proc, owner: a as usize, at },
+            5 => {
+                cycles = b;
+                TxEvent::Committed { proc, attempts: a, at }
+            }
+            6 => {
+                cycles = b;
+                TxEvent::Aborted { proc, at_pos: a as usize, at }
+            }
+            7 => TxEvent::BackoffWait { proc, attempt: a, amount: b, at },
+            8 => {
+                let owner = b.checked_sub(1).map(|p| p as usize);
+                TxEvent::StarvationEscalated { proc, owner, attempts: a, at }
+            }
+            9 => TxEvent::OpPanicked { proc, attempts: a, at },
+            10 => {
+                let (records, bytes) = (a >> 32, a & u64::from(u32::MAX));
+                TxEvent::JournalFlush { proc, records, bytes, latency: b, at }
+            }
+            11 => TxEvent::RecoveryReplayed { records: a, installed: b, at },
+            12 => TxEvent::ForcedCommit { proc, attempts: a, at },
+            13 => TxEvent::ConflictDeferred { proc, owner: a as usize, at },
+            14 => TxEvent::DeltaCommitted { proc, cells_changed: a, at },
+            15 => TxEvent::RetryBlocked { proc, watched: a, at },
+            16 => TxEvent::RetryWoken { proc, wakeups: a, at },
+            17 => TxEvent::CellAlloc { proc, cell: a as CellIdx, live: b, at },
+            18 => TxEvent::CellFree { proc, cell: a as CellIdx, live: b, at },
+            _ => return None,
+        };
+        let op = (w[0] >> 32) as u32 & OP_TAG_MASK;
+        Some(Self { event, op, owner_op, cycles })
     }
 }
 
@@ -328,14 +261,15 @@ impl FlightBuffer {
         self.head.load(Ordering::Acquire)
     }
 
-    /// Append one event. Wait-free; must only be called from the single
-    /// owning writer thread (enforced by [`FlightRecorder`] holding the
-    /// only append path).
-    #[inline]
+    /// Append one record; a per-cell event ([`is_recorded`] false) is not
+    /// appended. Wait-free; must only be called from the single owning
+    /// writer thread (enforced by [`FlightRecorder`] holding the only
+    /// append path).
+    #[inline(always)]
     pub fn append(&self, ev: &FlightEvent) {
+        let Some(words) = ev.pack() else { return };
         let h = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(h & self.mask) as usize];
-        let words = ev.encode();
         slot.seq.store(2 * h + 1, Ordering::Relaxed);
         fence(Ordering::Release);
         for (w, &v) in slot.w.iter().zip(&words) {
@@ -374,7 +308,7 @@ impl FlightBuffer {
             ];
             fence(Ordering::Acquire);
             let s2 = slot.seq.load(Ordering::Relaxed);
-            match (s2 == s1, FlightEvent::decode(words)) {
+            match (s2 == s1, FlightEvent::unpack(words)) {
                 (true, Some(ev)) => out.events.push(ev),
                 _ => out.dropped += 1,
             }
@@ -510,126 +444,23 @@ impl FlightRecorder {
         self.dropped += read.dropped;
         read.events
     }
-
-    /// Record a [`CellArena`](crate::arena::CellArena) allocation: `cell` is
-    /// the first index of the span, `live` the arena's live-cell count after
-    /// it. Arena bookkeeping is host-side, so the arena cannot observe a
-    /// clock — callers time-stamp, exactly as with the observer callbacks.
-    #[inline]
-    pub fn cell_alloc(&mut self, proc: usize, cell: CellIdx, live: u64, now: u64) {
-        self.push(FlightKind::CellAlloc, proc, cell as u64, live, now);
-    }
-
-    /// Record a [`CellArena`](crate::arena::CellArena) free (counterpart of
-    /// [`cell_alloc`](Self::cell_alloc)).
-    #[inline]
-    pub fn cell_free(&mut self, proc: usize, cell: CellIdx, live: u64, now: u64) {
-        self.push(FlightKind::CellFree, proc, cell as u64, live, now);
-    }
-
-    #[inline]
-    fn push(&mut self, kind: FlightKind, proc: usize, a: u64, b: u64, at: u64) {
-        self.buf.append(&FlightEvent {
-            kind,
-            proc: proc as u32,
-            op: self.op,
-            a,
-            b,
-            at,
-        });
-    }
 }
 
 impl TxObserver for FlightRecorder {
-    #[inline]
-    fn attempt_begin(&mut self, proc: usize, attempt: u64, now: u64) {
-        self.attempt_started = now;
-        self.push(FlightKind::AttemptBegin, proc, attempt, 0, now);
-    }
-
-    #[inline]
-    fn conflict(&mut self, proc: usize, cell: Option<CellIdx>, owner: Option<usize>, now: u64) {
-        let owner = owner.map(|p| {
-            let tag = self.board.as_ref().map_or(NO_OP_TAG, |b| b.get(p));
-            (p as u32, tag)
-        });
-        self.buf
-            .append(&FlightEvent::conflict(proc as u32, self.op, cell, owner, now));
-    }
-
-    #[inline]
-    fn help_begin(&mut self, proc: usize, owner: usize, now: u64) {
-        self.push(FlightKind::HelpBegin, proc, owner as u64, 0, now);
-    }
-
-    #[inline]
-    fn help_end(&mut self, proc: usize, owner: usize, now: u64) {
-        self.push(FlightKind::HelpEnd, proc, owner as u64, 0, now);
-    }
-
-    #[inline]
-    fn committed(&mut self, proc: usize, attempts: u64, now: u64) {
-        let cycles = now.saturating_sub(self.attempt_started);
-        self.push(FlightKind::Committed, proc, attempts, cycles, now);
-    }
-
-    #[inline]
-    fn aborted(&mut self, proc: usize, at: usize, now: u64) {
-        let cycles = now.saturating_sub(self.attempt_started);
-        self.push(FlightKind::Aborted, proc, at as u64, cycles, now);
-    }
-
-    #[inline]
-    fn backoff_wait(&mut self, proc: usize, attempt: u64, amount: u64, now: u64) {
-        self.push(FlightKind::BackoffWait, proc, attempt, amount, now);
-    }
-
-    #[inline]
-    fn starvation_escalated(&mut self, proc: usize, owner: Option<usize>, attempts: u64, now: u64) {
-        let owner = owner.map_or(0, |p| p as u64 + 1);
-        self.push(FlightKind::StarvationEscalated, proc, attempts, owner, now);
-    }
-
-    #[inline]
-    fn op_panicked(&mut self, proc: usize, attempts: u64, now: u64) {
-        self.push(FlightKind::OpPanicked, proc, attempts, 0, now);
-    }
-
-    #[inline]
-    fn journal_flush(&mut self, proc: usize, records: u64, bytes: u64, latency: u64, now: u64) {
-        let a = (records.min(u64::from(u32::MAX)) << 32) | bytes.min(u64::from(u32::MAX));
-        self.push(FlightKind::JournalFlush, proc, a, latency, now);
-    }
-
-    #[inline]
-    fn recovery_replayed(&mut self, records: u64, installed: u64, now: u64) {
-        let proc = self.proc as usize;
-        self.push(FlightKind::RecoveryReplayed, proc, records, installed, now);
-    }
-
-    #[inline]
-    fn conflict_deferred(&mut self, proc: usize, owner: usize, now: u64) {
-        self.push(FlightKind::ConflictDeferred, proc, owner as u64, 0, now);
-    }
-
-    #[inline]
-    fn forced_commit(&mut self, proc: usize, attempts: u64, now: u64) {
-        self.push(FlightKind::ForcedCommit, proc, attempts, 0, now);
-    }
-
-    #[inline]
-    fn delta_committed(&mut self, proc: usize, cells_changed: u64, now: u64) {
-        self.push(FlightKind::DeltaCommit, proc, cells_changed, 0, now);
-    }
-
-    #[inline]
-    fn retry_blocked(&mut self, proc: usize, watched: u64, now: u64) {
-        self.push(FlightKind::RetryBlocked, proc, watched, 0, now);
-    }
-
-    #[inline]
-    fn retry_woken(&mut self, proc: usize, wakeups: u64, now: u64) {
-        self.push(FlightKind::RetryWoken, proc, wakeups, 0, now);
+    #[inline(always)]
+    fn on(&mut self, ev: &TxEvent) {
+        let mut rec = FlightEvent { event: *ev, op: self.op, owner_op: NO_OP_TAG, cycles: 0 };
+        match *ev {
+            TxEvent::AttemptBegin { at, .. } => self.attempt_started = at,
+            TxEvent::Conflict { owner: Some(p), .. } => {
+                rec.owner_op = self.board.as_ref().map_or(NO_OP_TAG, |b| b.get(p));
+            }
+            TxEvent::Committed { at, .. } | TxEvent::Aborted { at, .. } => {
+                rec.cycles = at.saturating_sub(self.attempt_started);
+            }
+            _ => {}
+        }
+        self.buf.append(&rec);
     }
 }
 
@@ -637,45 +468,74 @@ impl TxObserver for FlightRecorder {
 mod tests {
     use super::*;
 
-    fn ev(kind: FlightKind, proc: u32, a: u64, b: u64, at: u64) -> FlightEvent {
-        FlightEvent { kind, proc, op: 7, a, b, at }
+    fn rec(event: TxEvent) -> FlightEvent {
+        FlightEvent { event, op: 7, owner_op: NO_OP_TAG, cycles: 0 }
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let cases = [
-            ev(FlightKind::AttemptBegin, 3, 9, 0, 100),
-            FlightEvent::conflict(1, 2, Some(42), Some((5, 0xabcdef)), 77),
-            FlightEvent::conflict(1, 2, None, None, 78),
-            ev(FlightKind::Committed, 0, 4, 880, 999),
-            ev(FlightKind::JournalFlush, 2, (3 << 32) | 128, 17, 5),
+    fn pack_unpack_roundtrips_every_recorded_variant() {
+        let owned = TxEvent::Conflict { proc: 1, cell: Some(42), owner: Some(5), at: 77 };
+        let kept = [
+            rec(TxEvent::AttemptBegin { proc: 3, attempt: 9, at: 100 }),
+            FlightEvent { owner_op: 0xabcdef, ..rec(owned) },
+            rec(TxEvent::Conflict { proc: 1, cell: None, owner: None, at: 78 }),
+            rec(TxEvent::HelpBegin { proc: 2, owner: 4, at: 5 }),
+            rec(TxEvent::HelpEnd { proc: 2, owner: 4, at: 6 }),
+            FlightEvent {
+                cycles: 880,
+                ..rec(TxEvent::Committed { proc: 0, attempts: 4, at: 999 })
+            },
+            FlightEvent { cycles: 30, ..rec(TxEvent::Aborted { proc: 0, at_pos: 2, at: 50 }) },
+            rec(TxEvent::BackoffWait { proc: 1, attempt: 3, amount: 64, at: 9 }),
+            rec(TxEvent::StarvationEscalated { proc: 1, owner: Some(0), attempts: 12, at: 9 }),
+            rec(TxEvent::StarvationEscalated { proc: 1, owner: None, attempts: 13, at: 9 }),
+            rec(TxEvent::OpPanicked { proc: 2, attempts: 1, at: 4 }),
+            rec(TxEvent::JournalFlush { proc: 2, records: 3, bytes: 128, latency: 17, at: 5 }),
+            rec(TxEvent::RecoveryReplayed { records: 5, installed: 4, at: 0 }),
+            rec(TxEvent::ForcedCommit { proc: 3, attempts: 40, at: 8 }),
+            rec(TxEvent::ConflictDeferred { proc: 3, owner: 1, at: 8 }),
+            rec(TxEvent::DeltaCommitted { proc: 0, cells_changed: 2, at: 8 }),
+            rec(TxEvent::RetryBlocked { proc: 1, watched: 6, at: 8 }),
+            rec(TxEvent::RetryWoken { proc: 1, wakeups: 2, at: 8 }),
+            rec(TxEvent::CellAlloc { proc: 1, cell: 640, live: 5, at: 1 }),
+            rec(TxEvent::CellFree { proc: 0, cell: 640, live: 2, at: 2 }),
         ];
-        for c in cases {
-            assert_eq!(FlightEvent::decode(c.encode()), Some(c));
+        for r in kept {
+            assert!(is_recorded(&r.event), "{r:?}");
+            assert_eq!(FlightEvent::unpack(r.pack().unwrap()), Some(r));
         }
-        let conflicted = FlightEvent::conflict(1, 2, Some(42), Some((5, 0xabcdef)), 77);
-        assert_eq!(conflicted.conflict_cell(), Some(42));
-        assert_eq!(conflicted.conflict_owner(), Some((5, 0xabcdef)));
-        assert_eq!(FlightEvent::conflict(1, 2, None, None, 0).conflict_owner(), None);
+        let skipped = [
+            TxEvent::Acquired { proc: 0, cell: 1, at: 0 },
+            TxEvent::WriteBack { proc: 0, cell: 1, at: 0 },
+            TxEvent::Released { proc: 0, cell: 1, at: 0 },
+        ];
+        for ev in skipped {
+            assert!(!is_recorded(&ev), "{ev:?}");
+            assert_eq!(rec(ev).pack(), None);
+        }
     }
 
     #[test]
     fn ring_drains_in_order_and_counts_overflow() {
         let buf = FlightBuffer::new(8);
+        let begin = |i| TxEvent::AttemptBegin { proc: 0, attempt: i, at: i };
         for i in 0..20u64 {
-            buf.append(&ev(FlightKind::AttemptBegin, 0, i, 0, i));
+            buf.append(&rec(begin(i)));
         }
         let read = buf.read_since(0);
         // Capacity 8: only the last 8 events survive, 12 are dropped.
         assert_eq!(read.dropped, 12);
         assert_eq!(read.events.len(), 8);
-        assert_eq!(read.events.first().map(|e| e.a), Some(12));
-        assert_eq!(read.events.last().map(|e| e.a), Some(19));
+        assert_eq!(read.events.first().map(|e| e.event), Some(begin(12)));
+        assert_eq!(read.events.last().map(|e| e.event), Some(begin(19)));
         assert_eq!(read.cursor, 20);
         // A second read from the returned cursor sees nothing new.
         let again = buf.read_since(read.cursor);
         assert!(again.events.is_empty());
         assert_eq!(again.dropped, 0);
+        // Per-cell events are never appended.
+        buf.append(&rec(TxEvent::Released { proc: 0, cell: 3, at: 0 }));
+        assert_eq!(buf.written(), 20);
     }
 
     #[test]
@@ -683,7 +543,7 @@ mod tests {
         let mut rec = FlightRecorder::new(1, 8);
         let buf = rec.buffer();
         for i in 0..30 {
-            rec.attempt_begin(1, i, i);
+            rec.on(&TxEvent::AttemptBegin { proc: 1, attempt: i, at: i });
         }
         let drained = rec.drain();
         assert_eq!(drained.len() as u64 + rec.dropped(), buf.written());
@@ -696,12 +556,13 @@ mod tests {
         board.set(2, 0x1234);
         let mut rec = FlightRecorder::with_board(0, 32, Arc::clone(&board));
         rec.set_op(0x42);
-        rec.conflict(0, Some(7), Some(2), 10);
+        let conflict = TxEvent::Conflict { proc: 0, cell: Some(7), owner: Some(2), at: 10 };
+        rec.on(&conflict);
         let events = rec.drain();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].op, 0x42);
-        assert_eq!(events[0].conflict_cell(), Some(7));
-        assert_eq!(events[0].conflict_owner(), Some((2, 0x1234)));
+        assert_eq!(events[0].owner_op, 0x1234);
+        assert_eq!(events[0].event, conflict);
     }
 
     #[test]
@@ -711,7 +572,8 @@ mod tests {
             let buf = Arc::clone(&buf);
             std::thread::spawn(move || {
                 for i in 0..200_000u64 {
-                    buf.append(&ev(FlightKind::Committed, 0, i, i.wrapping_mul(3), i));
+                    let commit = TxEvent::Committed { proc: 0, attempts: i, at: i };
+                    buf.append(&FlightEvent { cycles: i.wrapping_mul(3), ..rec(commit) });
                 }
             })
         };
@@ -721,8 +583,13 @@ mod tests {
             let read = buf.read_since(cursor);
             cursor = read.cursor;
             for e in &read.events {
-                // Payload invariant: b == 3*a for every coherent record.
-                assert_eq!(e.b, e.a.wrapping_mul(3), "torn slot surfaced");
+                // Payload invariant: cycles == 3 * attempts == 3 * at for
+                // every coherent record.
+                let TxEvent::Committed { attempts, at, .. } = e.event else {
+                    panic!("torn slot surfaced: {e:?}")
+                };
+                assert_eq!(at, attempts, "torn slot surfaced");
+                assert_eq!(e.cycles, attempts.wrapping_mul(3), "torn slot surfaced");
             }
             seen += read.events.len() as u64 + read.dropped;
         }

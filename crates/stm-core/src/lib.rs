@@ -109,8 +109,8 @@ pub use export::{
     OpLatency, ProcCounters,
 };
 pub use flight::{
-    FlightBuffer, FlightEvent, FlightKind, FlightRecorder, OpBoard, RingRead,
-    DEFAULT_FLIGHT_CAPACITY, NO_OP_TAG,
+    FlightBuffer, FlightEvent, FlightRecorder, OpBoard, RingRead, DEFAULT_FLIGHT_CAPACITY,
+    NO_OP_TAG,
 };
 pub use machine::chaos::{ChaosConfig, ChaosPort, ChaosStats, Watchdog, WatchdogHandle};
 pub use machine::MemPort;
@@ -160,7 +160,7 @@ pub mod prelude {
     pub use crate::dynamic::{DynamicStm, DynamicTx, Retry};
     pub use crate::machine::host::HostMachine;
     pub use crate::machine::MemPort;
-    pub use crate::observe::{NoopObserver, TxObserver};
+    pub use crate::observe::{NoopObserver, TxEvent, TxObserver};
     pub use crate::ops::StmOps;
     pub use crate::program::{OpCode, ProgramTable, TxProgram};
     pub use crate::stm::{

@@ -13,7 +13,7 @@
 //!   transactions), the contention heatmap;
 //! * **helping depth** — the observer-side check of the paper's one-level
 //!   *non-redundant helping* bound: helpers never recurse, so the observed
-//!   maximum depth of nested `help_begin`/`help_end` spans must be ≤ 1.
+//!   maximum depth of nested `HelpBegin`/`HelpEnd` spans must be ≤ 1.
 //!
 //! Observers are per-port (one processor's view); aggregate a
 //! multiprocessor run by [`TxMetrics::merge`]-ing the per-processor
@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::attribution::Attribution;
-use crate::observe::TxObserver;
+use crate::observe::{TxEvent, TxObserver};
 use crate::word::CellIdx;
 
 /// Number of buckets in a [`Log2Histogram`]: one for zero plus one per
@@ -492,98 +492,63 @@ impl TxMetrics {
 }
 
 impl TxObserver for TxMetrics {
-    fn attempt_begin(&mut self, _proc: usize, _attempt: u64, now: u64) {
-        self.attempt_start = Some(now);
-    }
-
-    fn conflict(&mut self, _proc: usize, cell: Option<CellIdx>, _owner: Option<usize>, _now: u64) {
-        self.conflicts += 1;
-        if let Some(c) = cell {
-            *self.contention.entry(c).or_default() += 1;
-        }
-    }
-
-    fn help_begin(&mut self, _proc: usize, _owner: usize, now: u64) {
-        self.helps += 1;
-        self.help_depth += 1;
-        self.max_help_depth = self.max_help_depth.max(self.help_depth);
-        if self.help_depth == 1 {
-            self.help_start = Some(now);
-        }
-    }
-
-    fn help_end(&mut self, _proc: usize, _owner: usize, now: u64) {
-        if self.help_depth == 1 {
-            if let Some(t0) = self.help_start.take() {
-                self.help_cycles.record(now.saturating_sub(t0));
+    #[inline]
+    fn on(&mut self, ev: &TxEvent) {
+        match *ev {
+            TxEvent::AttemptBegin { at, .. } => self.attempt_start = Some(at),
+            TxEvent::Conflict { cell, .. } => {
+                self.conflicts += 1;
+                if let Some(c) = cell {
+                    *self.contention.entry(c).or_default() += 1;
+                }
             }
+            TxEvent::HelpBegin { at, .. } => {
+                self.helps += 1;
+                self.help_depth += 1;
+                self.max_help_depth = self.max_help_depth.max(self.help_depth);
+                if self.help_depth == 1 {
+                    self.help_start = Some(at);
+                }
+            }
+            TxEvent::HelpEnd { at, .. } => {
+                if self.help_depth == 1 {
+                    if let Some(t0) = self.help_start.take() {
+                        self.help_cycles.record(at.saturating_sub(t0));
+                    }
+                }
+                self.help_depth = self.help_depth.saturating_sub(1);
+            }
+            TxEvent::WriteBack { .. } => self.write_backs += 1,
+            TxEvent::Released { .. } => self.releases += 1,
+            TxEvent::Committed { attempts, at, .. } => {
+                self.commits += 1;
+                self.attempts_to_commit.record(attempts);
+                if let Some(t0) = self.attempt_start.take() {
+                    self.cycles_per_attempt.record(at.saturating_sub(t0));
+                }
+            }
+            TxEvent::Aborted { at, .. } => {
+                self.aborts += 1;
+                if let Some(t0) = self.attempt_start.take() {
+                    self.cycles_per_attempt.record(at.saturating_sub(t0));
+                }
+            }
+            TxEvent::BackoffWait { amount, .. } => self.backoff_waits.record(amount),
+            TxEvent::StarvationEscalated { .. } => self.starvation_escalations += 1,
+            TxEvent::OpPanicked { .. } => self.op_panics += 1,
+            TxEvent::JournalFlush { records, bytes, latency, .. } => {
+                self.flush_latency.record(latency);
+                self.journal_records += records;
+                self.journal_bytes += bytes;
+            }
+            TxEvent::RecoveryReplayed { installed, .. } => self.recovery_replays.record(installed),
+            TxEvent::ConflictDeferred { .. } => self.conflicts_deferred += 1,
+            TxEvent::ForcedCommit { .. } => self.forced_commits += 1,
+            TxEvent::DeltaCommitted { .. } => self.delta_commits += 1,
+            TxEvent::RetryBlocked { .. } => self.retry_blocks += 1,
+            TxEvent::RetryWoken { .. } => self.retry_wakeups += 1,
+            _ => {}
         }
-        self.help_depth = self.help_depth.saturating_sub(1);
-    }
-
-    fn write_back(&mut self, _proc: usize, _cell: CellIdx, _now: u64) {
-        self.write_backs += 1;
-    }
-
-    fn released(&mut self, _proc: usize, _cell: CellIdx, _now: u64) {
-        self.releases += 1;
-    }
-
-    fn committed(&mut self, _proc: usize, attempts: u64, now: u64) {
-        self.commits += 1;
-        self.attempts_to_commit.record(attempts);
-        if let Some(t0) = self.attempt_start.take() {
-            self.cycles_per_attempt.record(now.saturating_sub(t0));
-        }
-    }
-
-    fn aborted(&mut self, _proc: usize, _at: usize, now: u64) {
-        self.aborts += 1;
-        if let Some(t0) = self.attempt_start.take() {
-            self.cycles_per_attempt.record(now.saturating_sub(t0));
-        }
-    }
-
-    fn backoff_wait(&mut self, _proc: usize, _attempt: u64, amount: u64, _now: u64) {
-        self.backoff_waits.record(amount);
-    }
-
-    fn starvation_escalated(&mut self, _proc: usize, _owner: Option<usize>, _attempts: u64, _now: u64) {
-        self.starvation_escalations += 1;
-    }
-
-    fn op_panicked(&mut self, _proc: usize, _attempts: u64, _now: u64) {
-        self.op_panics += 1;
-    }
-
-    fn journal_flush(&mut self, _proc: usize, records: u64, bytes: u64, latency: u64, _now: u64) {
-        self.flush_latency.record(latency);
-        self.journal_records += records;
-        self.journal_bytes += bytes;
-    }
-
-    fn recovery_replayed(&mut self, _records: u64, installed: u64, _now: u64) {
-        self.recovery_replays.record(installed);
-    }
-
-    fn conflict_deferred(&mut self, _proc: usize, _owner: usize, _now: u64) {
-        self.conflicts_deferred += 1;
-    }
-
-    fn forced_commit(&mut self, _proc: usize, _attempts: u64, _now: u64) {
-        self.forced_commits += 1;
-    }
-
-    fn delta_committed(&mut self, _proc: usize, _cells_changed: u64, _now: u64) {
-        self.delta_commits += 1;
-    }
-
-    fn retry_blocked(&mut self, _proc: usize, _watched: u64, _now: u64) {
-        self.retry_blocks += 1;
-    }
-
-    fn retry_woken(&mut self, _proc: usize, _wakeups: u64, _now: u64) {
-        self.retry_wakeups += 1;
     }
 }
 
@@ -691,19 +656,19 @@ mod tests {
     fn metrics_track_a_synthetic_lifecycle() {
         let mut m = TxMetrics::new();
         // Attempt 1: conflict on cell 3, help P2, abort.
-        m.attempt_begin(0, 1, 100);
-        m.cell_acquired(0, 1, 110);
-        m.conflict(0, Some(3), Some(2), 120);
-        m.help_begin(0, 2, 125);
-        m.cell_acquired(0, 3, 130);
-        m.help_end(0, 2, 140);
-        m.aborted(0, 1, 150);
+        m.on(&TxEvent::AttemptBegin { proc: 0, attempt: 1, at: 100 });
+        m.on(&TxEvent::Acquired { proc: 0, cell: 1, at: 110 });
+        m.on(&TxEvent::Conflict { proc: 0, cell: Some(3), owner: Some(2), at: 120 });
+        m.on(&TxEvent::HelpBegin { proc: 0, owner: 2, at: 125 });
+        m.on(&TxEvent::Acquired { proc: 0, cell: 3, at: 130 });
+        m.on(&TxEvent::HelpEnd { proc: 0, owner: 2, at: 140 });
+        m.on(&TxEvent::Aborted { proc: 0, at_pos: 1, at: 150 });
         // Attempt 2: commit.
-        m.attempt_begin(0, 2, 200);
-        m.cell_acquired(0, 1, 210);
-        m.write_back(0, 1, 220);
-        m.released(0, 1, 230);
-        m.committed(0, 2, 240);
+        m.on(&TxEvent::AttemptBegin { proc: 0, attempt: 2, at: 200 });
+        m.on(&TxEvent::Acquired { proc: 0, cell: 1, at: 210 });
+        m.on(&TxEvent::WriteBack { proc: 0, cell: 1, at: 220 });
+        m.on(&TxEvent::Released { proc: 0, cell: 1, at: 230 });
+        m.on(&TxEvent::Committed { proc: 0, attempts: 2, at: 240 });
 
         assert_eq!(m.commits(), 1);
         assert_eq!(m.aborts(), 1);
@@ -725,10 +690,11 @@ mod tests {
     #[test]
     fn nested_help_would_violate_the_bound() {
         let mut m = TxMetrics::new();
-        m.help_begin(0, 1, 0);
-        m.help_begin(0, 2, 1); // transitive helping: must be flagged
-        m.help_end(0, 2, 2);
-        m.help_end(0, 1, 3);
+        m.on(&TxEvent::HelpBegin { proc: 0, owner: 1, at: 0 });
+        // Transitive helping: must be flagged.
+        m.on(&TxEvent::HelpBegin { proc: 0, owner: 2, at: 1 });
+        m.on(&TxEvent::HelpEnd { proc: 0, owner: 2, at: 2 });
+        m.on(&TxEvent::HelpEnd { proc: 0, owner: 1, at: 3 });
         assert_eq!(m.max_help_depth(), 2);
         assert!(!m.helping_is_non_redundant());
         assert!(m.summary().contains("BOUND VIOLATED"));
@@ -737,14 +703,14 @@ mod tests {
     #[test]
     fn journal_and_recovery_hooks_aggregate() {
         let mut a = TxMetrics::new();
-        a.journal_flush(0, 2, 96, 150, 0);
-        a.journal_flush(0, 1, 48, 90, 0);
+        a.on(&TxEvent::JournalFlush { proc: 0, records: 2, bytes: 96, latency: 150, at: 0 });
+        a.on(&TxEvent::JournalFlush { proc: 0, records: 1, bytes: 48, latency: 90, at: 0 });
         assert_eq!(a.journal_flushes(), 2);
         assert_eq!(a.journal_records(), 3);
         assert_eq!(a.journal_bytes(), 144);
         assert_eq!(a.flush_latency.max(), 150);
         let mut b = TxMetrics::new();
-        b.recovery_replayed(5, 4, 0);
+        b.on(&TxEvent::RecoveryReplayed { records: 5, installed: 4, at: 0 });
         assert_eq!(b.recoveries(), 1);
         assert_eq!(b.recovery_replays.sum(), 4);
         a.merge(&b);
@@ -759,13 +725,13 @@ mod tests {
     #[test]
     fn merge_aggregates_across_processors() {
         let mut a = TxMetrics::new();
-        a.attempt_begin(0, 1, 0);
-        a.committed(0, 1, 10);
-        a.conflict(0, Some(7), None, 0);
+        a.on(&TxEvent::AttemptBegin { proc: 0, attempt: 1, at: 0 });
+        a.on(&TxEvent::Committed { proc: 0, attempts: 1, at: 10 });
+        a.on(&TxEvent::Conflict { proc: 0, cell: Some(7), owner: None, at: 0 });
         let mut b = TxMetrics::new();
-        b.attempt_begin(1, 1, 0);
-        b.aborted(1, 0, 5);
-        b.conflict(1, Some(7), None, 0);
+        b.on(&TxEvent::AttemptBegin { proc: 1, attempt: 1, at: 0 });
+        b.on(&TxEvent::Aborted { proc: 1, at_pos: 0, at: 5 });
+        b.on(&TxEvent::Conflict { proc: 1, cell: Some(7), owner: None, at: 0 });
         a.merge(&b);
         assert_eq!(a.commits(), 1);
         assert_eq!(a.aborts(), 1);

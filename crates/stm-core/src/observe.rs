@@ -1,30 +1,33 @@
-//! Transaction lifecycle observers — zero-cost telemetry hooks.
+//! Transaction lifecycle observers — zero-cost telemetry.
 //!
 //! The protocol in [`crate::stm`] (and the dynamic layer in
 //! [`crate::dynamic`]) reports every externally meaningful event of a
-//! transaction's life to a [`TxObserver`]: attempt begin, per-cell
-//! acquisition, the conflict that failed an attempt, the helping span spent
-//! on another processor's transaction, installs, releases, and the terminal
-//! commit/abort of each attempt. The observer parameter is **monomorphized**
-//! ([`Stm::run`](crate::stm::Stm::run) is generic over `O: TxObserver`), and
-//! every callback has an empty `#[inline]` default, so the uninstrumented
-//! path — [`NoopObserver`] — compiles to exactly the code the unobserved
-//! fast path had before observers existed. The counting-port footprint test
-//! in [`crate::machine::counting`] pins that equivalence.
+//! transaction's life to a [`TxObserver`] as a [`TxEvent`]: attempt begin,
+//! per-cell acquisition, the conflict that failed an attempt, the helping
+//! span spent on another processor's transaction, installs, releases, and
+//! the terminal commit/abort of each attempt. `TxEvent` is the one event
+//! vocabulary: the observer trait has a single method,
+//! [`on`](TxObserver::on), and every consumer — [`RecordingObserver`],
+//! [`crate::metrics::TxMetrics`], the flight recorder in [`crate::flight`]
+//! and the counters folded from it — matches on the same enum.
 //!
-//! Timestamps come from [`MemPort::now`](crate::machine::MemPort::now): real
-//! virtual cycles on the `stm-sim` simulator, `0` on the host machine (where
-//! duration metrics degenerate to counts).
+//! The observer parameter is **monomorphized**
+//! ([`Stm::run`](crate::stm::Stm::run) is generic over `O: TxObserver`) and
+//! every `on` is `#[inline]`, so each call site's `match` folds to the one
+//! arm its event reaches, and the uninstrumented path — [`NoopObserver`],
+//! whose `on` is empty — compiles to exactly the code the unobserved fast
+//! path had before observers existed. The counting-port footprint test in
+//! [`crate::machine::counting`] pins that equivalence.
 //!
-//! Two observers ship with the crate:
+//! Timestamps (`at`) come from [`MemPort::now`](crate::machine::MemPort::now):
+//! real virtual cycles on the `stm-sim` simulator, `0` on the host machine
+//! (where duration metrics degenerate to counts).
+//!
+//! Two observers ship with this module:
 //!
 //! * [`NoopObserver`] — the default; costs nothing.
-//! * [`RecordingObserver`] — appends every callback as a [`TxEvent`], for
-//!   tests and tooling (the observer-ordering property tests are built on
-//!   it).
-//!
-//! [`crate::metrics::TxMetrics`] is the aggregating observer: histograms,
-//! hot-cell contention counters, and helping-chain accounting.
+//! * [`RecordingObserver`] — appends every event to a vector, for tests and
+//!   tooling (the observer-ordering property tests are built on it).
 //!
 //! # Event grammar
 //!
@@ -32,193 +35,34 @@
 //! sequence is:
 //!
 //! ```text
-//! ( attempt_begin
-//!     cell_acquired*                     ascending cell order
-//!     [ conflict
-//!       [ help_begin ...helped work... help_end ]
-//!       aborted ]                        terminal for a failed attempt
+//! ( AttemptBegin
+//!     Acquired*                          ascending cell order
+//!     [ Conflict
+//!       [ HelpBegin ...helped work... HelpEnd ]
+//!       Aborted ]                        terminal for a failed attempt
 //! )*
-//! attempt_begin cell_acquired* write_back* released* committed
+//! AttemptBegin Acquired* WriteBack* Released* Committed
 //! ```
 //!
-//! Events between `help_begin` and `help_end` (acquire/install/release)
-//! belong to the *helped* transaction, executed by this processor on the
-//! owner's behalf — helping is one level deep, so help spans never nest.
+//! Events between `HelpBegin` and `HelpEnd` (`Acquired`/`WriteBack`/
+//! `Released`) belong to the *helped* transaction, executed by this
+//! processor on the owner's behalf — helping is one level deep, so help
+//! spans never nest. The remaining variants sit outside this grammar and
+//! each documents where it is emitted.
 
 use crate::word::CellIdx;
 
 /// Observer of one processor's transaction lifecycle events.
 ///
-/// All callbacks default to empty inline bodies, so an observer only pays
-/// for what it overrides and [`NoopObserver`] pays for nothing. `proc` is
-/// always the *acting* processor (the one running the protocol code); `now`
-/// is that processor's local time per
-/// [`MemPort::now`](crate::machine::MemPort::now).
+/// Implementations match on the [`TxEvent`] variants they care about and
+/// ignore the rest. The protocol emits each event at a fixed call site with
+/// a known variant, and only an inlined `on` lets the compiler fold the
+/// `match` down to that one arm: mark `on` `#[inline]`, or
+/// `#[inline(always)]` when its body is large enough that the inliner would
+/// decline it before folding (the flight recorder's is).
 pub trait TxObserver {
-    /// A new attempt (1-based `attempt` counter) of this processor's own
-    /// transaction was published.
-    #[inline]
-    fn attempt_begin(&mut self, proc: usize, attempt: u64, now: u64) {
-        let _ = (proc, attempt, now);
-    }
-
-    /// Ownership of `cell` is now held for the running transaction (claimed
-    /// by this participant or found already claimed by a co-participant).
-    /// Emitted in ascending cell order within each acquisition pass.
-    #[inline]
-    fn cell_acquired(&mut self, proc: usize, cell: CellIdx, now: u64) {
-        let _ = (proc, cell, now);
-    }
-
-    /// This processor's own attempt was decided `Failure` because `cell`
-    /// (if known — `None` only for a malformed failure index) was owned by
-    /// a live conflicting transaction. `owner` is the processor that held
-    /// the obstructing ownership, when the protocol re-read it (helping
-    /// paths do; pure-backoff paths report `None` rather than pay an extra
-    /// ownership read). Emitted exactly once per
-    /// [`TxStats::conflicts`](crate::stm::TxStats::conflicts) increment.
-    #[inline]
-    fn conflict(&mut self, proc: usize, cell: Option<CellIdx>, owner: Option<usize>, now: u64) {
-        let _ = (proc, cell, owner, now);
-    }
-
-    /// This processor is about to help the transaction initiated by `owner`
-    /// (the paper's non-redundant helping; one level only). Emitted exactly
-    /// once per [`TxStats::helps`](crate::stm::TxStats::helps) increment.
-    #[inline]
-    fn help_begin(&mut self, proc: usize, owner: usize, now: u64) {
-        let _ = (proc, owner, now);
-    }
-
-    /// The helping span opened by the matching [`TxObserver::help_begin`]
-    /// finished (the helped transaction is complete or was already done).
-    #[inline]
-    fn help_end(&mut self, proc: usize, owner: usize, now: u64) {
-        let _ = (proc, owner, now);
-    }
-
-    /// This participant is about to install a changed value into `cell`
-    /// (positions whose new value equals the old are logical reads and are
-    /// not reported).
-    #[inline]
-    fn write_back(&mut self, proc: usize, cell: CellIdx, now: u64) {
-        let _ = (proc, cell, now);
-    }
-
-    /// This participant is about to release ownership of `cell`.
-    #[inline]
-    fn released(&mut self, proc: usize, cell: CellIdx, now: u64) {
-        let _ = (proc, cell, now);
-    }
-
-    /// This processor's own transaction committed after `attempts` attempts.
-    /// Terminal event of the final attempt.
-    #[inline]
-    fn committed(&mut self, proc: usize, attempts: u64, now: u64) {
-        let _ = (proc, attempts, now);
-    }
-
-    /// This processor's own attempt was decided `Failure` at data-set
-    /// position `at` (program order). Terminal event of a failed attempt;
-    /// emitted after any conflict/help events of that attempt.
-    #[inline]
-    fn aborted(&mut self, proc: usize, at: usize, now: u64) {
-        let _ = (proc, at, now);
-    }
-
-    /// The managed retry loop ([`Stm::run`](crate::stm::Stm::run)) is about
-    /// to wait between attempts on a [`ContentionManager`](crate::contention::ContentionManager)
-    /// decision. `amount` is the spin window in cycles for a spin wait, the
-    /// park duration in microseconds for a parked wait, and `0` for a plain
-    /// yield. Sits outside the core event grammar above.
-    #[inline]
-    fn backoff_wait(&mut self, proc: usize, attempt: u64, amount: u64, now: u64) {
-        let _ = (proc, attempt, amount, now);
-    }
-
-    /// The contention manager detected starvation (repeated losses to the
-    /// same owner, or too many attempts overall) and escalated this
-    /// processor to help-first mode. `owner` is the obstructing owner at the
-    /// moment of escalation, if still visible. Managed paths only.
-    #[inline]
-    fn starvation_escalated(&mut self, proc: usize, owner: Option<usize>, attempts: u64, now: u64) {
-        let _ = (proc, owner, attempts, now);
-    }
-
-    /// A commit program panicked inside this processor's own attempt. The
-    /// transaction installed nothing, all ownerships were released, and the
-    /// panic is being surfaced as
-    /// [`TxError::OpPanicked`](crate::stm::TxError::OpPanicked).
-    #[inline]
-    fn op_panicked(&mut self, proc: usize, attempts: u64, now: u64) {
-        let _ = (proc, attempts, now);
-    }
-
-    /// A durable backend ([`Journal`](crate::durable::Journal)) flushed
-    /// `records` redo records (`bytes` encoded bytes) to stable storage
-    /// before this participant installed any value. `latency` is in the
-    /// port's time units (virtual cycles on the simulator, nanoseconds on
-    /// the host). Emitted once per non-empty journal flush, by whichever
-    /// participant (owner or helper) performed it.
-    #[inline]
-    fn journal_flush(&mut self, proc: usize, records: u64, bytes: u64, latency: u64, now: u64) {
-        let _ = (proc, records, bytes, latency, now);
-    }
-
-    /// A recovery pass ([`recover_with`](crate::durable::recover_with))
-    /// finished: `records` verified records were scanned and `installed`
-    /// individual cell installs were replayed. `now` is `0` — recovery runs
-    /// before any port exists.
-    #[inline]
-    fn recovery_replayed(&mut self, records: u64, installed: u64, now: u64) {
-        let _ = (records, installed, now);
-    }
-
-    /// A helping excursion hit a live conflict while helping the escalated
-    /// transaction of `owner` and **deferred** — left the record undecided
-    /// instead of failing it (the [`PriorityBoard`](crate::contention::PriorityBoard)
-    /// protection). Only emitted when an escalation board is attached.
-    #[inline]
-    fn conflict_deferred(&mut self, proc: usize, owner: usize, now: u64) {
-        let _ = (proc, owner, now);
-    }
-
-    /// This processor's own transaction committed while holding the forced
-    /// slot (the never-self-fail sweep). Emitted immediately after the
-    /// matching [`TxObserver::committed`]. Only emitted when an escalation
-    /// board is attached and the manager reached
-    /// [`PriorityLevel::Forced`](crate::contention::PriorityLevel).
-    #[inline]
-    fn forced_commit(&mut self, proc: usize, attempts: u64, now: u64) {
-        let _ = (proc, attempts, now);
-    }
-
-    /// The dynamic layer's commit-time validation failed but only
-    /// `cells_changed` read cells moved (at most
-    /// [`StmConfig::delta_retry_cells`](crate::stm::StmConfig::delta_retry_cells)),
-    /// so the transaction re-ran its body against the validated snapshot and
-    /// committed without a full re-read retry. Emitted immediately after the
-    /// delta-committed attempt's [`TxObserver::committed`].
-    #[inline]
-    fn delta_committed(&mut self, proc: usize, cells_changed: u64, now: u64) {
-        let _ = (proc, cells_changed, now);
-    }
-
-    /// A blocking dynamic transaction
-    /// ([`DynamicStm::run_blocking`](crate::dynamic::DynamicStm::run_blocking))
-    /// hit `retry` and is about to park on its read set of `watched` cells.
-    #[inline]
-    fn retry_blocked(&mut self, proc: usize, watched: u64, now: u64) {
-        let _ = (proc, watched, now);
-    }
-
-    /// A blocking dynamic transaction returned from its park (cumulative
-    /// `wakeups` for this call, counting this one) and is about to re-run
-    /// its body.
-    #[inline]
-    fn retry_woken(&mut self, proc: usize, wakeups: u64, now: u64) {
-        let _ = (proc, wakeups, now);
-    }
+    /// Observe one event.
+    fn on(&mut self, ev: &TxEvent);
 }
 
 /// A mutable reference to an observer is itself an observer, so callers can
@@ -226,84 +70,14 @@ pub trait TxObserver {
 /// [`TxOptions`](crate::stm::TxOptions) by value:
 /// `TxOptions::new().observer(&mut recorder)`.
 ///
-/// Every method forwards explicitly — the trait's empty defaults would
-/// otherwise silently swallow the events.
+/// The forwarders are `#[inline(always)]`: one left out of line carries the
+/// inner observer's whole `match` into every call. On `bench_gate`'s W1 host
+/// ladder (2-core Xeon) that measured as a +10% flight-recorder overhead,
+/// against ~0% with the forwarders inlined.
 impl<O: TxObserver + ?Sized> TxObserver for &mut O {
-    #[inline]
-    fn attempt_begin(&mut self, proc: usize, attempt: u64, now: u64) {
-        (**self).attempt_begin(proc, attempt, now)
-    }
-    #[inline]
-    fn cell_acquired(&mut self, proc: usize, cell: CellIdx, now: u64) {
-        (**self).cell_acquired(proc, cell, now)
-    }
-    #[inline]
-    fn conflict(&mut self, proc: usize, cell: Option<CellIdx>, owner: Option<usize>, now: u64) {
-        (**self).conflict(proc, cell, owner, now)
-    }
-    #[inline]
-    fn help_begin(&mut self, proc: usize, owner: usize, now: u64) {
-        (**self).help_begin(proc, owner, now)
-    }
-    #[inline]
-    fn help_end(&mut self, proc: usize, owner: usize, now: u64) {
-        (**self).help_end(proc, owner, now)
-    }
-    #[inline]
-    fn write_back(&mut self, proc: usize, cell: CellIdx, now: u64) {
-        (**self).write_back(proc, cell, now)
-    }
-    #[inline]
-    fn released(&mut self, proc: usize, cell: CellIdx, now: u64) {
-        (**self).released(proc, cell, now)
-    }
-    #[inline]
-    fn committed(&mut self, proc: usize, attempts: u64, now: u64) {
-        (**self).committed(proc, attempts, now)
-    }
-    #[inline]
-    fn aborted(&mut self, proc: usize, at: usize, now: u64) {
-        (**self).aborted(proc, at, now)
-    }
-    #[inline]
-    fn backoff_wait(&mut self, proc: usize, attempt: u64, amount: u64, now: u64) {
-        (**self).backoff_wait(proc, attempt, amount, now)
-    }
-    #[inline]
-    fn starvation_escalated(&mut self, proc: usize, owner: Option<usize>, attempts: u64, now: u64) {
-        (**self).starvation_escalated(proc, owner, attempts, now)
-    }
-    #[inline]
-    fn op_panicked(&mut self, proc: usize, attempts: u64, now: u64) {
-        (**self).op_panicked(proc, attempts, now)
-    }
-    #[inline]
-    fn journal_flush(&mut self, proc: usize, records: u64, bytes: u64, latency: u64, now: u64) {
-        (**self).journal_flush(proc, records, bytes, latency, now)
-    }
-    #[inline]
-    fn recovery_replayed(&mut self, records: u64, installed: u64, now: u64) {
-        (**self).recovery_replayed(records, installed, now)
-    }
-    #[inline]
-    fn conflict_deferred(&mut self, proc: usize, owner: usize, now: u64) {
-        (**self).conflict_deferred(proc, owner, now)
-    }
-    #[inline]
-    fn forced_commit(&mut self, proc: usize, attempts: u64, now: u64) {
-        (**self).forced_commit(proc, attempts, now)
-    }
-    #[inline]
-    fn delta_committed(&mut self, proc: usize, cells_changed: u64, now: u64) {
-        (**self).delta_committed(proc, cells_changed, now)
-    }
-    #[inline]
-    fn retry_blocked(&mut self, proc: usize, watched: u64, now: u64) {
-        (**self).retry_blocked(proc, watched, now)
-    }
-    #[inline]
-    fn retry_woken(&mut self, proc: usize, wakeups: u64, now: u64) {
-        (**self).retry_woken(proc, wakeups, now)
+    #[inline(always)]
+    fn on(&mut self, ev: &TxEvent) {
+        (**self).on(ev)
     }
 }
 
@@ -312,155 +86,129 @@ impl<O: TxObserver + ?Sized> TxObserver for &mut O {
 /// two sinks, e.g. end-of-run metrics plus a live flight recorder:
 /// `TxOptions::new().observer((&mut metrics, &mut recorder))`.
 impl<A: TxObserver, B: TxObserver> TxObserver for (A, B) {
-    #[inline]
-    fn attempt_begin(&mut self, proc: usize, attempt: u64, now: u64) {
-        self.0.attempt_begin(proc, attempt, now);
-        self.1.attempt_begin(proc, attempt, now);
-    }
-    #[inline]
-    fn cell_acquired(&mut self, proc: usize, cell: CellIdx, now: u64) {
-        self.0.cell_acquired(proc, cell, now);
-        self.1.cell_acquired(proc, cell, now);
-    }
-    #[inline]
-    fn conflict(&mut self, proc: usize, cell: Option<CellIdx>, owner: Option<usize>, now: u64) {
-        self.0.conflict(proc, cell, owner, now);
-        self.1.conflict(proc, cell, owner, now);
-    }
-    #[inline]
-    fn help_begin(&mut self, proc: usize, owner: usize, now: u64) {
-        self.0.help_begin(proc, owner, now);
-        self.1.help_begin(proc, owner, now);
-    }
-    #[inline]
-    fn help_end(&mut self, proc: usize, owner: usize, now: u64) {
-        self.0.help_end(proc, owner, now);
-        self.1.help_end(proc, owner, now);
-    }
-    #[inline]
-    fn write_back(&mut self, proc: usize, cell: CellIdx, now: u64) {
-        self.0.write_back(proc, cell, now);
-        self.1.write_back(proc, cell, now);
-    }
-    #[inline]
-    fn released(&mut self, proc: usize, cell: CellIdx, now: u64) {
-        self.0.released(proc, cell, now);
-        self.1.released(proc, cell, now);
-    }
-    #[inline]
-    fn committed(&mut self, proc: usize, attempts: u64, now: u64) {
-        self.0.committed(proc, attempts, now);
-        self.1.committed(proc, attempts, now);
-    }
-    #[inline]
-    fn aborted(&mut self, proc: usize, at: usize, now: u64) {
-        self.0.aborted(proc, at, now);
-        self.1.aborted(proc, at, now);
-    }
-    #[inline]
-    fn backoff_wait(&mut self, proc: usize, attempt: u64, amount: u64, now: u64) {
-        self.0.backoff_wait(proc, attempt, amount, now);
-        self.1.backoff_wait(proc, attempt, amount, now);
-    }
-    #[inline]
-    fn starvation_escalated(&mut self, proc: usize, owner: Option<usize>, attempts: u64, now: u64) {
-        self.0.starvation_escalated(proc, owner, attempts, now);
-        self.1.starvation_escalated(proc, owner, attempts, now);
-    }
-    #[inline]
-    fn op_panicked(&mut self, proc: usize, attempts: u64, now: u64) {
-        self.0.op_panicked(proc, attempts, now);
-        self.1.op_panicked(proc, attempts, now);
-    }
-    #[inline]
-    fn journal_flush(&mut self, proc: usize, records: u64, bytes: u64, latency: u64, now: u64) {
-        self.0.journal_flush(proc, records, bytes, latency, now);
-        self.1.journal_flush(proc, records, bytes, latency, now);
-    }
-    #[inline]
-    fn recovery_replayed(&mut self, records: u64, installed: u64, now: u64) {
-        self.0.recovery_replayed(records, installed, now);
-        self.1.recovery_replayed(records, installed, now);
-    }
-    #[inline]
-    fn conflict_deferred(&mut self, proc: usize, owner: usize, now: u64) {
-        self.0.conflict_deferred(proc, owner, now);
-        self.1.conflict_deferred(proc, owner, now);
-    }
-    #[inline]
-    fn forced_commit(&mut self, proc: usize, attempts: u64, now: u64) {
-        self.0.forced_commit(proc, attempts, now);
-        self.1.forced_commit(proc, attempts, now);
-    }
-    #[inline]
-    fn delta_committed(&mut self, proc: usize, cells_changed: u64, now: u64) {
-        self.0.delta_committed(proc, cells_changed, now);
-        self.1.delta_committed(proc, cells_changed, now);
-    }
-    #[inline]
-    fn retry_blocked(&mut self, proc: usize, watched: u64, now: u64) {
-        self.0.retry_blocked(proc, watched, now);
-        self.1.retry_blocked(proc, watched, now);
-    }
-    #[inline]
-    fn retry_woken(&mut self, proc: usize, wakeups: u64, now: u64) {
-        self.0.retry_woken(proc, wakeups, now);
-        self.1.retry_woken(proc, wakeups, now);
+    #[inline(always)]
+    fn on(&mut self, ev: &TxEvent) {
+        self.0.on(ev);
+        self.1.on(ev);
     }
 }
 
-/// The default observer: every callback is a no-op, and the monomorphized
-/// protocol code is identical to the unobserved path.
+/// The default observer: `on` is empty, and the monomorphized protocol code
+/// is identical to the unobserved path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopObserver;
 
-impl TxObserver for NoopObserver {}
+impl TxObserver for NoopObserver {
+    #[inline]
+    fn on(&mut self, _ev: &TxEvent) {}
+}
 
-/// One recorded lifecycle event (see [`RecordingObserver`]).
+/// One transaction lifecycle event.
 ///
-/// Field meanings match the corresponding [`TxObserver`] callback; `at` is
-/// the port-local timestamp.
+/// `proc` is always the *acting* processor (the one running the protocol
+/// code); `at` is that processor's local time per
+/// [`MemPort::now`](crate::machine::MemPort::now).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // fields mirror the TxObserver callback parameters
+#[allow(missing_docs)] // the fields are described on each variant
 pub enum TxEvent {
-    /// [`TxObserver::attempt_begin`].
+    /// A new attempt (1-based `attempt` counter) of this processor's own
+    /// transaction was published.
     AttemptBegin { proc: usize, attempt: u64, at: u64 },
-    /// [`TxObserver::cell_acquired`].
+    /// Ownership of `cell` is now held for the running transaction (claimed
+    /// by this participant or found already claimed by a co-participant).
+    /// Emitted in ascending cell order within each acquisition pass.
     Acquired { proc: usize, cell: CellIdx, at: u64 },
-    /// [`TxObserver::conflict`].
+    /// This processor's own attempt was decided `Failure` because `cell`
+    /// (if known — `None` only for a malformed failure index) was owned by
+    /// a live conflicting transaction. `owner` is the processor that held
+    /// the obstructing ownership, when the protocol re-read it (helping
+    /// paths do; pure-backoff paths report `None` rather than pay an extra
+    /// ownership read). Emitted exactly once per
+    /// [`TxStats::conflicts`](crate::stm::TxStats::conflicts) increment.
     Conflict { proc: usize, cell: Option<CellIdx>, owner: Option<usize>, at: u64 },
-    /// [`TxObserver::help_begin`].
+    /// This processor is about to help the transaction initiated by `owner`
+    /// (the paper's non-redundant helping; one level only). Emitted exactly
+    /// once per [`TxStats::helps`](crate::stm::TxStats::helps) increment.
     HelpBegin { proc: usize, owner: usize, at: u64 },
-    /// [`TxObserver::help_end`].
+    /// The helping span opened by the matching `HelpBegin` finished (the
+    /// helped transaction is complete or was already done).
     HelpEnd { proc: usize, owner: usize, at: u64 },
-    /// [`TxObserver::write_back`].
+    /// This participant is about to install a changed value into `cell`
+    /// (positions whose new value equals the old are logical reads and are
+    /// not reported).
     WriteBack { proc: usize, cell: CellIdx, at: u64 },
-    /// [`TxObserver::released`].
+    /// This participant is about to release ownership of `cell`.
     Released { proc: usize, cell: CellIdx, at: u64 },
-    /// [`TxObserver::committed`].
+    /// This processor's own transaction committed after `attempts` attempts.
+    /// Terminal event of the final attempt.
     Committed { proc: usize, attempts: u64, at: u64 },
-    /// [`TxObserver::aborted`].
+    /// This processor's own attempt was decided `Failure` at data-set
+    /// position `at_pos` (program order). Terminal event of a failed
+    /// attempt; emitted after any conflict/help events of that attempt.
     Aborted { proc: usize, at_pos: usize, at: u64 },
-    /// [`TxObserver::backoff_wait`] (managed retry paths only).
+    /// The managed retry loop ([`Stm::run`](crate::stm::Stm::run)) is about
+    /// to wait between attempts on a
+    /// [`ContentionManager`](crate::contention::ContentionManager) decision.
+    /// `amount` is the spin window in cycles for a spin wait, the park
+    /// duration in microseconds for a parked wait, and `0` for a plain
+    /// yield.
     BackoffWait { proc: usize, attempt: u64, amount: u64, at: u64 },
-    /// [`TxObserver::starvation_escalated`] (managed retry paths only).
+    /// The contention manager detected starvation (repeated losses to the
+    /// same owner, or too many attempts overall) and escalated this
+    /// processor to help-first mode. `owner` is the obstructing owner at the
+    /// moment of escalation, if still visible. Managed paths only.
     StarvationEscalated { proc: usize, owner: Option<usize>, attempts: u64, at: u64 },
-    /// [`TxObserver::op_panicked`].
+    /// A commit program panicked inside this processor's own attempt. The
+    /// transaction installed nothing, all ownerships were released, and the
+    /// panic is being surfaced as
+    /// [`TxError::OpPanicked`](crate::stm::TxError::OpPanicked).
     OpPanicked { proc: usize, attempts: u64, at: u64 },
-    /// [`TxObserver::journal_flush`].
+    /// A durable backend ([`Journal`](crate::durable::Journal)) flushed
+    /// `records` redo records (`bytes` encoded bytes) to stable storage
+    /// before this participant installed any value. `latency` is in the
+    /// port's time units (virtual cycles on the simulator, nanoseconds on
+    /// the host). Emitted once per non-empty journal flush, by whichever
+    /// participant (owner or helper) performed it.
     JournalFlush { proc: usize, records: u64, bytes: u64, latency: u64, at: u64 },
-    /// [`TxObserver::recovery_replayed`].
+    /// A recovery pass ([`recover_with`](crate::durable::recover_with))
+    /// finished: `records` verified records were scanned and `installed`
+    /// individual cell installs were replayed. `at` is `0` — recovery runs
+    /// before any port exists.
     RecoveryReplayed { records: u64, installed: u64, at: u64 },
-    /// [`TxObserver::conflict_deferred`] (escalation board attached only).
+    /// A helping excursion hit a live conflict while helping the escalated
+    /// transaction of `owner` and **deferred** — left the record undecided
+    /// instead of failing it (the
+    /// [`PriorityBoard`](crate::contention::PriorityBoard) protection). Only
+    /// emitted when an escalation board is attached.
     ConflictDeferred { proc: usize, owner: usize, at: u64 },
-    /// [`TxObserver::forced_commit`] (escalation board attached only).
+    /// This processor's own transaction committed while holding the forced
+    /// slot (the never-self-fail sweep). Emitted immediately after the
+    /// matching `Committed`. Only emitted when an escalation board is
+    /// attached and the manager reached
+    /// [`PriorityLevel::Forced`](crate::contention::PriorityLevel).
     ForcedCommit { proc: usize, attempts: u64, at: u64 },
-    /// [`TxObserver::delta_committed`] (dynamic layer, delta path enabled).
+    /// The dynamic layer's commit-time validation failed but only
+    /// `cells_changed` read cells moved (at most
+    /// [`StmConfig::delta_retry_cells`](crate::stm::StmConfig::delta_retry_cells)),
+    /// so the transaction re-ran its body against the validated snapshot and
+    /// committed without a full re-read retry. Emitted immediately after the
+    /// delta-committed attempt's `Committed`.
     DeltaCommitted { proc: usize, cells_changed: u64, at: u64 },
-    /// [`TxObserver::retry_blocked`] (blocking dynamic layer only).
+    /// A blocking dynamic transaction
+    /// ([`DynamicStm::run_blocking`](crate::dynamic::DynamicStm::run_blocking))
+    /// hit `retry` and is about to park on its read set of `watched` cells.
     RetryBlocked { proc: usize, watched: u64, at: u64 },
-    /// [`TxObserver::retry_woken`] (blocking dynamic layer only).
+    /// A blocking dynamic transaction returned from its park (cumulative
+    /// `wakeups` for this call, counting this one) and is about to re-run
+    /// its body.
     RetryWoken { proc: usize, wakeups: u64, at: u64 },
+    /// A [`CellArena`](crate::arena::CellArena) handed out the span starting
+    /// at `cell`; `live` is the arena's live-cell count after it. Arena
+    /// bookkeeping is host-side, so `at` is an arena-local event counter.
+    CellAlloc { proc: usize, cell: CellIdx, live: u64, at: u64 },
+    /// A span starting at `cell` was returned to the arena (counterpart of
+    /// `CellAlloc`).
+    CellFree { proc: usize, cell: CellIdx, live: u64, at: u64 },
 }
 
 /// Default [`RecordingObserver`] capacity: generous for tests and tours,
@@ -515,74 +263,16 @@ impl RecordingObserver {
     pub fn take(&mut self) -> Vec<TxEvent> {
         std::mem::take(&mut self.events)
     }
-
-    #[inline]
-    fn push(&mut self, ev: TxEvent) {
-        if self.events.len() < self.capacity {
-            self.events.push(ev);
-        } else {
-            self.dropped += 1;
-        }
-    }
 }
 
 impl TxObserver for RecordingObserver {
-    fn attempt_begin(&mut self, proc: usize, attempt: u64, now: u64) {
-        self.push(TxEvent::AttemptBegin { proc, attempt, at: now });
-    }
-    fn cell_acquired(&mut self, proc: usize, cell: CellIdx, now: u64) {
-        self.push(TxEvent::Acquired { proc, cell, at: now });
-    }
-    fn conflict(&mut self, proc: usize, cell: Option<CellIdx>, owner: Option<usize>, now: u64) {
-        self.push(TxEvent::Conflict { proc, cell, owner, at: now });
-    }
-    fn help_begin(&mut self, proc: usize, owner: usize, now: u64) {
-        self.push(TxEvent::HelpBegin { proc, owner, at: now });
-    }
-    fn help_end(&mut self, proc: usize, owner: usize, now: u64) {
-        self.push(TxEvent::HelpEnd { proc, owner, at: now });
-    }
-    fn write_back(&mut self, proc: usize, cell: CellIdx, now: u64) {
-        self.push(TxEvent::WriteBack { proc, cell, at: now });
-    }
-    fn released(&mut self, proc: usize, cell: CellIdx, now: u64) {
-        self.push(TxEvent::Released { proc, cell, at: now });
-    }
-    fn committed(&mut self, proc: usize, attempts: u64, now: u64) {
-        self.push(TxEvent::Committed { proc, attempts, at: now });
-    }
-    fn aborted(&mut self, proc: usize, at: usize, now: u64) {
-        self.push(TxEvent::Aborted { proc, at_pos: at, at: now });
-    }
-    fn backoff_wait(&mut self, proc: usize, attempt: u64, amount: u64, now: u64) {
-        self.push(TxEvent::BackoffWait { proc, attempt, amount, at: now });
-    }
-    fn starvation_escalated(&mut self, proc: usize, owner: Option<usize>, attempts: u64, now: u64) {
-        self.push(TxEvent::StarvationEscalated { proc, owner, attempts, at: now });
-    }
-    fn op_panicked(&mut self, proc: usize, attempts: u64, now: u64) {
-        self.push(TxEvent::OpPanicked { proc, attempts, at: now });
-    }
-    fn journal_flush(&mut self, proc: usize, records: u64, bytes: u64, latency: u64, now: u64) {
-        self.push(TxEvent::JournalFlush { proc, records, bytes, latency, at: now });
-    }
-    fn recovery_replayed(&mut self, records: u64, installed: u64, now: u64) {
-        self.push(TxEvent::RecoveryReplayed { records, installed, at: now });
-    }
-    fn conflict_deferred(&mut self, proc: usize, owner: usize, now: u64) {
-        self.push(TxEvent::ConflictDeferred { proc, owner, at: now });
-    }
-    fn forced_commit(&mut self, proc: usize, attempts: u64, now: u64) {
-        self.push(TxEvent::ForcedCommit { proc, attempts, at: now });
-    }
-    fn delta_committed(&mut self, proc: usize, cells_changed: u64, now: u64) {
-        self.push(TxEvent::DeltaCommitted { proc, cells_changed, at: now });
-    }
-    fn retry_blocked(&mut self, proc: usize, watched: u64, now: u64) {
-        self.push(TxEvent::RetryBlocked { proc, watched, at: now });
-    }
-    fn retry_woken(&mut self, proc: usize, wakeups: u64, now: u64) {
-        self.push(TxEvent::RetryWoken { proc, wakeups, at: now });
+    #[inline]
+    fn on(&mut self, ev: &TxEvent) {
+        if self.events.len() < self.capacity {
+            self.events.push(*ev);
+        } else {
+            self.dropped += 1;
+        }
     }
 }
 
@@ -650,7 +340,7 @@ mod tests {
     #[test]
     fn recorder_take_drains() {
         let mut rec = RecordingObserver::new();
-        rec.attempt_begin(0, 1, 0);
+        rec.on(&TxEvent::AttemptBegin { proc: 0, attempt: 1, at: 0 });
         assert_eq!(rec.take().len(), 1);
         assert!(rec.events().is_empty());
     }
@@ -659,12 +349,12 @@ mod tests {
     fn recorder_capacity_counts_drops_and_take_restores_room() {
         let mut rec = RecordingObserver::with_capacity(2);
         for i in 0..5 {
-            rec.attempt_begin(0, i, 0);
+            rec.on(&TxEvent::AttemptBegin { proc: 0, attempt: i, at: 0 });
         }
         assert_eq!(rec.events().len(), 2);
         assert_eq!(rec.dropped(), 3);
         assert_eq!(rec.take().len(), 2);
-        rec.attempt_begin(0, 9, 0);
+        rec.on(&TxEvent::AttemptBegin { proc: 0, attempt: 9, at: 0 });
         assert_eq!(rec.events().len(), 1, "take() frees capacity");
         assert_eq!(rec.dropped(), 3, "drop counter is cumulative");
     }
@@ -675,8 +365,8 @@ mod tests {
         let mut b = RecordingObserver::new();
         {
             let mut tee = (&mut a, &mut b);
-            tee.attempt_begin(1, 1, 0);
-            tee.conflict(1, Some(3), Some(2), 5);
+            tee.on(&TxEvent::AttemptBegin { proc: 1, attempt: 1, at: 0 });
+            tee.on(&TxEvent::Conflict { proc: 1, cell: Some(3), owner: Some(2), at: 5 });
         }
         assert_eq!(a.events(), b.events());
         assert_eq!(a.events().len(), 2);

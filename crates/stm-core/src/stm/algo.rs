@@ -21,7 +21,7 @@ use std::any::Any;
 use crate::contention::{ConflictInfo, ContentionManager, PriorityLevel, WaitAction};
 use crate::durable::{Journal, RedoRecord};
 use crate::machine::MemPort;
-use crate::observe::{NoopObserver, TxObserver};
+use crate::observe::{NoopObserver, TxEvent, TxObserver};
 use crate::program::OpCode;
 use crate::step::StepPoint;
 use crate::word::{
@@ -198,7 +198,12 @@ pub(super) fn execute_loop<P: MemPort, C: ContentionManager, O: TxObserver, J: J
                 let info = ConflictInfo { proc: me, attempt: stats.attempts, cell, owner };
                 let decision = cm.on_conflict(&info);
                 if decision.newly_escalated {
-                    obs.starvation_escalated(me, owner, stats.attempts, port.now());
+                    obs.on(&TxEvent::StarvationEscalated {
+                        proc: me,
+                        owner,
+                        attempts: stats.attempts,
+                        at: port.now(),
+                    });
                 }
                 match decision.wait {
                     WaitAction::None => {
@@ -213,15 +218,30 @@ pub(super) fn execute_loop<P: MemPort, C: ContentionManager, O: TxObserver, J: J
                         }
                     }
                     WaitAction::Spin(cycles) => {
-                        obs.backoff_wait(me, stats.attempts, cycles, port.now());
+                        obs.on(&TxEvent::BackoffWait {
+                            proc: me,
+                            attempt: stats.attempts,
+                            amount: cycles,
+                            at: port.now(),
+                        });
                         port.delay(cycles);
                     }
                     WaitAction::Yield => {
-                        obs.backoff_wait(me, stats.attempts, 0, port.now());
+                        obs.on(&TxEvent::BackoffWait {
+                            proc: me,
+                            attempt: stats.attempts,
+                            amount: 0,
+                            at: port.now(),
+                        });
                         port.yield_now();
                     }
                     WaitAction::Park { micros } => {
-                        obs.backoff_wait(me, stats.attempts, micros, port.now());
+                        obs.on(&TxEvent::BackoffWait {
+                            proc: me,
+                            attempt: stats.attempts,
+                            amount: micros,
+                            at: port.now(),
+                        });
                         port.park_micros(micros);
                     }
                 }
@@ -260,7 +280,7 @@ fn attempt<P: MemPort, O: TxObserver, J: Journal>(
 ) -> Result<(), AttemptError> {
     stats.attempts += 1;
     let me = port.proc_id();
-    obs.attempt_begin(me, stats.attempts, port.now());
+    obs.on(&TxEvent::AttemptBegin { proc: me, attempt: stats.attempts, at: port.now() });
     let l = *stm.layout();
 
     // New version: successor of whatever version the record last carried.
@@ -316,9 +336,9 @@ fn attempt<P: MemPort, O: TxObserver, J: Journal>(
                     if let Some((p2, v2)) = obstructor {
                         stats.helps += 1;
                         port.step(StepPoint::HelpBegin { owner: p2 });
-                        obs.help_begin(me, p2, port.now());
+                        obs.on(&TxEvent::HelpBegin { proc: me, owner: p2, at: port.now() });
                         help(stm, port, p2, v2, scratch, obs, &mut jrn);
-                        obs.help_end(me, p2, port.now());
+                        obs.on(&TxEvent::HelpEnd { proc: me, owner: p2, at: port.now() });
                     }
                     // The obstructor is decided (or was already gone — the
                     // re-read raced its release): re-run the sweep; the
@@ -341,7 +361,7 @@ fn attempt<P: MemPort, O: TxObserver, J: Journal>(
                 // nothing was installed and `run_transaction` already released
                 // every ownership, so memory is untouched and the machine is
                 // helpable. Surface the containment instead of the old values.
-                obs.op_panicked(me, stats.attempts, port.now());
+                obs.on(&TxEvent::OpPanicked { proc: me, attempts: stats.attempts, at: port.now() });
                 return Err(AttemptError::Panicked(payload));
             }
             scratch.out_old.clear();
@@ -356,19 +376,23 @@ fn attempt<P: MemPort, O: TxObserver, J: Journal>(
                 scratch.out_old.push(cell_value(cw));
                 scratch.out_stamps.push(crate::word::cell_stamp(cw));
             }
-            obs.committed(me, stats.attempts, port.now());
+            obs.on(&TxEvent::Committed { proc: me, attempts: stats.attempts, at: port.now() });
             if level == PriorityLevel::Forced {
-                obs.forced_commit(me, stats.attempts, port.now());
+                obs.on(&TxEvent::ForcedCommit {
+                    proc: me,
+                    attempts: stats.attempts,
+                    at: port.now(),
+                });
             }
             Ok(())
         }
         TxStatus::Failure(j) => {
             stats.conflicts += 1;
             // When helping is on, the obstructing ownership word is re-read
-            // *before* the conflict callback so the observer learns who won
+            // *before* the `Conflict` event so the observer learns who won
             // the cell (conflict attribution). The port-op sequence is
             // identical to the pre-attribution code — the read always
-            // happened here on helping paths, only the callback moved after
+            // happened here on helping paths, only the event moved after
             // it — so simulated schedules stay bit-identical. Pure-backoff
             // paths still pay no extra read and report `owner: None`.
             let mut obstructor: Option<(usize, u64)> = None;
@@ -383,20 +407,20 @@ fn attempt<P: MemPort, O: TxObserver, J: Journal>(
                     }
                 }
             }
-            obs.conflict(
-                me,
-                view.cells.get(j).copied(),
-                obstructor.map(|(p2, _)| p2),
-                port.now(),
-            );
+            obs.on(&TxEvent::Conflict {
+                proc: me,
+                cell: view.cells.get(j).copied(),
+                owner: obstructor.map(|(p2, _)| p2),
+                at: port.now(),
+            });
             if let Some((p2, v2)) = obstructor {
                 stats.helps += 1;
                 port.step(StepPoint::HelpBegin { owner: p2 });
-                obs.help_begin(me, p2, port.now());
+                obs.on(&TxEvent::HelpBegin { proc: me, owner: p2, at: port.now() });
                 help(stm, port, p2, v2, scratch, obs, &mut jrn);
-                obs.help_end(me, p2, port.now());
+                obs.on(&TxEvent::HelpEnd { proc: me, owner: p2, at: port.now() });
             }
-            obs.aborted(me, j, port.now());
+            obs.on(&TxEvent::Aborted { proc: me, at_pos: j, at: port.now() });
             Err(AttemptError::Conflict { at: j })
         }
         TxStatus::Null | TxStatus::Initializing => {
@@ -457,7 +481,7 @@ fn help<P: MemPort, O: TxObserver, J: Journal>(
             SweepOutcome::Blocked { .. } => {
                 // The record is live and keeps its holdings; report the
                 // deferral and leave the escalated owner to finish.
-                obs.conflict_deferred(me, owner, port.now());
+                obs.on(&TxEvent::ConflictDeferred { proc: me, owner, at: port.now() });
             }
         }
     }
@@ -756,7 +780,7 @@ fn acquire_cell<P: MemPort, O: TxObserver>(
         return CellAcquire::Stop;
     }
     port.step(StepPoint::Acquired { j });
-    obs.cell_acquired(port.proc_id(), cell, port.now());
+    obs.on(&TxEvent::Acquired { proc: port.proc_id(), cell, at: port.now() });
     CellAcquire::Acquired { newly }
 }
 
@@ -809,7 +833,7 @@ fn install_cell<P: MemPort, O: TxObserver>(
     if new_value == old_value {
         return; // logical read: leave the cell (and its stamp) untouched
     }
-    obs.write_back(port.proc_id(), cell, port.now());
+    obs.on(&TxEvent::WriteBack { proc: port.proc_id(), cell, at: port.now() });
     let _ = port.compare_exchange(cell_addr, old, cell_successor(old, new_value));
     // Wake transactions blocked on this cell. Announced even when the CAS
     // lost (another participant of the same transaction installed first):
@@ -832,7 +856,7 @@ fn release_cell<P: MemPort, O: TxObserver>(
     obs: &mut O,
 ) {
     port.step(StepPoint::BeforeRelease { j });
-    obs.released(port.proc_id(), cell, port.now());
+    obs.on(&TxEvent::Released { proc: port.proc_id(), cell, at: port.now() });
     let _ = port.compare_exchange(own_addr, mine, OWNER_FREE);
 }
 
@@ -1012,7 +1036,13 @@ fn journal_commit<P: MemPort, O: TxObserver, J: Journal>(
     jrn.append(&RedoRecord { owner, version, cells, pre, new });
     port.step(StepPoint::JournalFlush);
     let info = jrn.flush(port);
-    obs.journal_flush(port.proc_id(), info.records, info.bytes, info.latency, port.now());
+    obs.on(&TxEvent::JournalFlush {
+        proc: port.proc_id(),
+        records: info.records,
+        bytes: info.bytes,
+        latency: info.latency,
+        at: port.now(),
+    });
     port.step(StepPoint::JournalDurable);
 }
 

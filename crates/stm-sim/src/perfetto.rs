@@ -327,12 +327,12 @@ mod tests {
     #[test]
     fn flight_dump_lands_in_other_data() {
         use stm_core::flight::FlightRecorder;
-        use stm_core::observe::TxObserver as _;
+        use stm_core::observe::{TxEvent, TxObserver as _};
         let report = contended_report();
         let mut rec = FlightRecorder::new(0, 64);
-        rec.attempt_begin(0, 1, 0);
-        rec.conflict(0, Some(1), Some(2), 5);
-        rec.aborted(0, 0, 9);
+        rec.on(&TxEvent::AttemptBegin { proc: 0, attempt: 1, at: 0 });
+        rec.on(&TxEvent::Conflict { proc: 0, cell: Some(1), owner: Some(2), at: 5 });
+        rec.on(&TxEvent::Aborted { proc: 0, at_pos: 0, at: 9 });
         let events = rec.drain();
         let dump = FlightDump {
             events: events.len() as u64,

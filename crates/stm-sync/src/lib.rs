@@ -9,8 +9,6 @@
 //!   back-off (blocking).
 //! * [`McsLock`] — MCS queue lock: local spinning, FIFO handoff (blocking,
 //!   scalable).
-//! * [`AndersonLock`] — Anderson's array queue lock (the era's other
-//!   scalable lock, for the lock ablation).
 //! * [`HerlihyObject`] — Herlihy's non-blocking small-object translation:
 //!   whole-object copy + pointer CAS + back-off (the non-blocking method STM
 //!   is measured against).
@@ -18,12 +16,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod anderson;
 pub mod herlihy;
 pub mod mcs;
 pub mod ttas;
 
-pub use anderson::AndersonLock;
 pub use herlihy::{HerlihyHandle, HerlihyObject};
 pub use mcs::McsLock;
 pub use ttas::TtasLock;

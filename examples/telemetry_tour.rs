@@ -1,13 +1,14 @@
-//! Telemetry tour: the observer hooks, the metrics they feed, and the
+//! Telemetry tour: the observer events, the metrics they feed, and the
 //! Perfetto trace they export.
 //!
 //! Three acts:
 //!
-//! 1. **Zero-cost hooks.** The observer is monomorphized into the protocol:
-//!    with [`NoopObserver`] every callback is an empty inlined function. A
+//! 1. **Zero-cost events.** The observer is monomorphized into the protocol:
+//!    with [`NoopObserver`] its one `on` method is empty and inlined. A
 //!    [`CountingPort`] proves the shared-memory footprint of a transaction
 //!    is bit-for-bit identical with and without the instrumentation, and a
-//!    [`RecordingObserver`] shows the lifecycle event stream the hooks emit.
+//!    [`RecordingObserver`] shows the lifecycle event stream the protocol
+//!    emits.
 //! 2. **Contention metrics.** A deliberately contended simulated run feeds
 //!    [`TxMetrics`] on every processor: attempts-to-commit and cycles
 //!    histograms, the hot-cell heatmap, and the paper's one-level
@@ -36,7 +37,7 @@ fn main() {
     println!("telemetry_tour OK");
 }
 
-/// Act 1: instrumentation costs nothing when unused, and the hooks narrate
+/// Act 1: instrumentation costs nothing when unused, and the events narrate
 /// the protocol when used.
 fn zero_cost_hooks() {
     println!("--- act 1: observer hooks are free until you use them ---");

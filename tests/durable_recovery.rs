@@ -266,7 +266,7 @@ fn journal_flush_metrics_and_recovery_hook_fire() {
     assert!(metrics.journal_bytes() > 0);
     assert_eq!(metrics.flush_latency.max(), FLUSH_COST);
 
-    // Replay through the observer-aware entry point: the recovery hook
+    // Replay through the observer-aware entry point: the recovery event
     // lands in the replay histogram.
     let n = sim.ops().stm().layout().n_cells();
     let mut recovered: Vec<Word> = vec![pack_cell(0, 0); n];

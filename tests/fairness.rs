@@ -30,7 +30,7 @@ use stm_core::contention::{
     PriorityLevel, RetryDecision,
 };
 use stm_core::dynamic::DynamicStm;
-use stm_core::observe::TxObserver;
+use stm_core::observe::{TxEvent, TxObserver};
 use stm_core::step::StepPoint;
 use stm_core::stm::{Sabotage, StmConfig, TxOptions, TxSpec};
 use stm_core::word::Word;
@@ -69,26 +69,25 @@ impl FairnessObserver {
 }
 
 impl TxObserver for FairnessObserver {
-    fn starvation_escalated(&mut self, _p: usize, _o: Option<usize>, _a: u64, _now: u64) {
-        self.c.escalations.fetch_add(1, Ordering::Relaxed);
-    }
-    fn conflict_deferred(&mut self, _p: usize, _o: usize, _now: u64) {
-        self.c.deferrals.fetch_add(1, Ordering::Relaxed);
-    }
-    fn forced_commit(&mut self, _p: usize, _a: u64, _now: u64) {
-        self.c.forced.fetch_add(1, Ordering::Relaxed);
-    }
-    fn delta_committed(&mut self, _p: usize, _cells: u64, _now: u64) {
-        self.c.delta.fetch_add(1, Ordering::Relaxed);
-    }
-    fn help_begin(&mut self, _p: usize, _o: usize, _now: u64) {
-        self.help_depth += 1;
-        if self.help_depth > 1 {
-            self.c.nested_helps.fetch_add(1, Ordering::Relaxed);
+    #[inline]
+    fn on(&mut self, ev: &TxEvent) {
+        let bump = |c: &AtomicU64| {
+            c.fetch_add(1, Ordering::Relaxed);
+        };
+        match ev {
+            TxEvent::StarvationEscalated { .. } => bump(&self.c.escalations),
+            TxEvent::ConflictDeferred { .. } => bump(&self.c.deferrals),
+            TxEvent::ForcedCommit { .. } => bump(&self.c.forced),
+            TxEvent::DeltaCommitted { .. } => bump(&self.c.delta),
+            TxEvent::HelpBegin { .. } => {
+                self.help_depth += 1;
+                if self.help_depth > 1 {
+                    bump(&self.c.nested_helps);
+                }
+            }
+            TxEvent::HelpEnd { .. } => self.help_depth = self.help_depth.saturating_sub(1),
+            _ => {}
         }
-    }
-    fn help_end(&mut self, _p: usize, _o: usize, _now: u64) {
-        self.help_depth = self.help_depth.saturating_sub(1);
     }
 }
 

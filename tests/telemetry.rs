@@ -21,7 +21,9 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use stm_core::stm::{StmConfig, TxOptions, TxSpec, TxStats};
-use stm_core::{FlightEvent, FlightKind, FlightRecorder, RecordingObserver, TxEvent};
+use stm_core::durable::DurableMem;
+use stm_core::flight::is_recorded;
+use stm_core::{FlightEvent, FlightRecorder, RecordingObserver, TxEvent, NO_OP_TAG};
 use stm_sim::arch::{BusModel, CostModel, MeshModel};
 use stm_sim::engine::SimPort;
 use stm_sim::harness::StmSim;
@@ -106,19 +108,10 @@ fn check_stream(events: &[TxEvent], stats: &TxStats) -> Result<(), String> {
                     return Err(format!("{e:?} outside attempt"));
                 }
             }
-            TxEvent::BackoffWait { .. }
-            | TxEvent::StarvationEscalated { .. }
-            | TxEvent::OpPanicked { .. }
-            | TxEvent::JournalFlush { .. }
-            | TxEvent::RecoveryReplayed { .. }
-            | TxEvent::ConflictDeferred { .. }
-            | TxEvent::ForcedCommit { .. }
-            | TxEvent::DeltaCommitted { .. }
-            | TxEvent::RetryBlocked { .. }
-            | TxEvent::RetryWoken { .. } => {
-                // Managed-retry-loop / durability / fairness / blocking
-                // events; the plain observed single-attempt stream under
-                // test never emits them.
+            _ => {
+                // Managed-retry-loop / durability / fairness / blocking /
+                // arena events; the plain observed single-attempt stream
+                // under test never emits them.
                 return Err(format!("managed-path event on plain path: {e:?}"));
             }
         }
@@ -167,66 +160,32 @@ fn run_ordering_check(model: impl CostModel + 'static, procs: usize, seed: u64, 
     assert!(v.is_empty(), "observer grammar violations: {v:#?}");
 }
 
-/// The coarse projection of a full observer stream: what the flight
-/// recorder is specified to capture (everything except the per-cell micro
-/// events `Acquired` / `WriteBack` / `Released`).
-fn coarse_projection(events: &[TxEvent]) -> Vec<FlightKind> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            TxEvent::AttemptBegin { .. } => Some(FlightKind::AttemptBegin),
-            TxEvent::Conflict { .. } => Some(FlightKind::Conflict),
-            TxEvent::HelpBegin { .. } => Some(FlightKind::HelpBegin),
-            TxEvent::HelpEnd { .. } => Some(FlightKind::HelpEnd),
-            TxEvent::Committed { .. } => Some(FlightKind::Committed),
-            TxEvent::Aborted { .. } => Some(FlightKind::Aborted),
-            TxEvent::BackoffWait { .. } => Some(FlightKind::BackoffWait),
-            TxEvent::StarvationEscalated { .. } => Some(FlightKind::StarvationEscalated),
-            TxEvent::OpPanicked { .. } => Some(FlightKind::OpPanicked),
-            TxEvent::JournalFlush { .. } => Some(FlightKind::JournalFlush),
-            TxEvent::RecoveryReplayed { .. } => Some(FlightKind::RecoveryReplayed),
-            TxEvent::ConflictDeferred { .. } => Some(FlightKind::ConflictDeferred),
-            TxEvent::ForcedCommit { .. } => Some(FlightKind::ForcedCommit),
-            TxEvent::DeltaCommitted { .. } => Some(FlightKind::DeltaCommit),
-            TxEvent::RetryBlocked { .. } => Some(FlightKind::RetryBlocked),
-            TxEvent::RetryWoken { .. } => Some(FlightKind::RetryWoken),
-            TxEvent::Acquired { .. } | TxEvent::WriteBack { .. } | TxEvent::Released { .. } => {
-                None
-            }
-        })
-        .collect()
-}
-
-/// Check a drained flight stream against the reference observer stream:
-/// same coarse kind sequence, and every `Conflict` record carries the same
-/// cell and blamed owner as the reference event.
+/// Check a drained flight stream against the reference observer stream,
+/// field for field: the records are exactly the reference events the
+/// recorder keeps ([`is_recorded`]), in order, and each `Committed` /
+/// `Aborted` record carries the time since its attempt's `AttemptBegin`.
 fn check_flight_against_reference(
     flight: &[FlightEvent],
     reference: &[TxEvent],
 ) -> Result<(), String> {
-    let expected = coarse_projection(reference);
-    let got: Vec<FlightKind> = flight.iter().map(|e| e.kind).collect();
+    let expected: Vec<TxEvent> = reference.iter().copied().filter(is_recorded).collect();
+    let got: Vec<TxEvent> = flight.iter().map(|r| r.event).collect();
     if got != expected {
-        return Err(format!("kind sequence diverged:\n  flight {got:?}\n  ref    {expected:?}"));
+        return Err(format!("record stream diverged:\n  flight {got:?}\n  ref    {expected:?}"));
     }
-    let ref_conflicts: Vec<(Option<usize>, Option<usize>)> = reference
-        .iter()
-        .filter_map(|e| match *e {
-            TxEvent::Conflict { cell, owner, .. } => Some((cell, owner)),
-            _ => None,
-        })
-        .collect();
-    let flight_conflicts: Vec<(Option<usize>, Option<usize>)> = flight
-        .iter()
-        .filter(|e| e.kind == FlightKind::Conflict)
-        .map(|e| {
-            (e.conflict_cell(), e.conflict_owner().map(|(p, _)| p as usize))
-        })
-        .collect();
-    if flight_conflicts != ref_conflicts {
-        return Err(format!(
-            "conflict attribution diverged:\n  flight {flight_conflicts:?}\n  ref    {ref_conflicts:?}"
-        ));
+    let mut begun = 0;
+    for r in flight {
+        let cycles = match r.event {
+            TxEvent::AttemptBegin { at, .. } => {
+                begun = at;
+                0
+            }
+            TxEvent::Committed { at, .. } | TxEvent::Aborted { at, .. } => at - begun,
+            _ => 0,
+        };
+        if (r.op, r.owner_op, r.cycles) != (NO_OP_TAG, NO_OP_TAG, cycles) {
+            return Err(format!("recorder context diverged: {r:?}, expected {cycles} cycles"));
+        }
     }
     Ok(())
 }
@@ -266,10 +225,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// S4a: draining the flight ring reconstructs the observer event
-    /// grammar — the recorder's stream is exactly the coarse projection of
-    /// the reference `RecordingObserver` stream, conflicts attributed to
-    /// the same cell and owner. The tee observer `(A, B)` feeds both from
-    /// the same callbacks, so any divergence is the ring's fault.
+    /// stream — the decoded records are exactly the reference
+    /// `RecordingObserver` events the recorder keeps, field for field.
+    /// Every third transaction is journaled, so `JournalFlush` records are
+    /// compared too. The tee observer `(A, B)` feeds both from the same
+    /// events, so any divergence is the ring's fault.
     #[test]
     fn flight_ring_reconstructs_observer_grammar(
         seed in 0u64..1000,
@@ -279,8 +239,10 @@ proptest! {
         const TXS: usize = 10;
         let sim = StmSim::new(procs, 4, 3, StmConfig::default()).seed(seed).jitter(jitter);
         let violations: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+        let storage = DurableMem::new();
         let report = sim.run(BusModel::for_procs(procs), |p, ops| {
             let violations = Arc::clone(&violations);
+            let mut jrn = storage.handle().flush_cost(40);
             move |mut port: SimPort| {
                 // Large enough that nothing wraps: drops would break the
                 // reconstruction and are tested separately below.
@@ -289,10 +251,13 @@ proptest! {
                     let cells =
                         if i % 2 == 0 { vec![0, 1 + (p + i) % 3] } else { vec![0, 1, 3] };
                     let spec = TxSpec::new(ops.builtins().add, &[1; 3][..cells.len()], &cells);
-                    let _ = ops
-                        .stm()
-                        .run(&mut port, &spec, &mut TxOptions::new().observer(&mut tee))
-                        .unwrap();
+                    let mut opts = TxOptions::new().observer(&mut tee);
+                    let out = if i % 3 == 0 {
+                        ops.stm().run(&mut port, &spec, &mut opts.journal(&mut jrn))
+                    } else {
+                        ops.stm().run(&mut port, &spec, &mut opts)
+                    };
+                    let _ = out.unwrap();
                 }
                 let (reference, mut rec) = tee;
                 assert_eq!(rec.dropped(), 0, "ring sized to never wrap");
@@ -343,8 +308,9 @@ proptest! {
                         rec.dropped()
                     ));
                 }
-                let expected = coarse_projection(reference.events());
-                let got: Vec<FlightKind> = drained.iter().map(|e| e.kind).collect();
+                let expected: Vec<TxEvent> =
+                    reference.events().iter().copied().filter(is_recorded).collect();
+                let got: Vec<TxEvent> = drained.iter().map(|r| r.event).collect();
                 if written != expected.len() as u64 || !expected.ends_with(&got) {
                     failures
                         .lock()
